@@ -3,16 +3,21 @@
 //! distance loops), enabled once per compiled SIMD backend (packed
 //! centroid/noise matrices, runtime-dispatched vector ISA), enabled in
 //! opt-in f32 ranking mode, and enabled with mini-batch insertion, across
-//! dimensionalities and micro-cluster budgets.
+//! dimensionalities and micro-cluster budgets. A second measurement per
+//! sweep point times the per-record novelty isolation (error-corrected
+//! distance to the nearest micro-cluster) against the full model: the
+//! kernel-off scalar per-ECF loop against one kernel sweep.
 //!
 //! ```text
 //! cargo run -p ustream-bench --release --bin fig_kernel_speedup -- \
 //!     --len 50000 --reps 3 [--strict]
 //! ```
 //!
-//! `--strict` exits non-zero when the auto-dispatched SIMD kernel fails to
-//! clear 1.5x over the forced-scalar kernel baseline on any sweep point
-//! with `dims >= 8` — the CI regression gate for the vector backends.
+//! `--strict` exits non-zero when, on any sweep point with `dims >= 8`,
+//! the auto-dispatched SIMD kernel fails to clear 1.5x over the
+//! forced-scalar kernel baseline, or the kernel's isolation fails to
+//! clear 2x over the scalar per-ECF loop — the CI regression gates for
+//! the vector backends and the fused novelty sweep.
 //! Narrower rows are excluded deliberately: at d=5 a row is one 4-lane
 //! chunk plus a tail element, so per-row vector setup costs as much as
 //! the arithmetic it saves and the scalar backend wins — no vector ISA
@@ -28,7 +33,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 use umicro::kernel::simd::{self, Backend};
-use umicro::{UMicro, UMicroConfig};
+use umicro::{OnlineClusterer, UMicro, UMicroConfig};
 use ustream_bench::Args;
 use ustream_common::UncertainPoint;
 use ustream_synth::{NoisyStream, SynDriftConfig};
@@ -40,9 +45,15 @@ const BATCH: usize = 256;
 /// SIMD-over-scalar-kernel floor enforced by `--strict`.
 const STRICT_FLOOR: f64 = 1.5;
 
+/// Kernel-isolation-over-scalar-loop floor enforced by `--strict`.
+const STRICT_ISO_FLOOR: f64 = 2.0;
+
 /// `--strict` only gates sweep points at least this wide: below it a row
 /// fits in the canonical four scalar lanes and vector ISAs cannot win.
 const STRICT_MIN_DIMS: usize = 8;
+
+/// Most records the isolation measurement probes per repetition.
+const ISO_PROBES: usize = 10_000;
 
 #[derive(Debug, Serialize)]
 struct BackendRow {
@@ -71,6 +82,14 @@ struct Row {
     /// pure vector-ISA win, independent of the SoA-layout win.
     simd_speedup: f64,
     batched_speedup: f64,
+    /// Nanoseconds per isolation call through the kernel-off scalar
+    /// per-ECF loop, against a full `n_micro` model.
+    iso_scalar_ns: f64,
+    /// Nanoseconds per isolation call through the auto-dispatched
+    /// kernel sweep, same model.
+    iso_kernel_ns: f64,
+    /// `iso_scalar_ns / iso_kernel_ns`.
+    iso_speedup: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -118,6 +137,37 @@ fn measure(
     best
 }
 
+/// Best-of-`reps` nanoseconds per `isolation` call against the model
+/// `points` build, probing with the first [`ISO_PROBES`] of them:
+/// `(scalar per-ECF loop, kernel sweep)`.
+fn measure_isolation(
+    points: &[UncertainPoint],
+    n_micro: usize,
+    dims: usize,
+    reps: usize,
+) -> (f64, f64) {
+    let mut alg = UMicro::new(config(n_micro, dims));
+    alg.insert_batch(points, &mut Vec::new());
+    let probes = &points[..points.len().min(ISO_PROBES)];
+    let time = |alg: &UMicro| {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let started = Instant::now();
+            for p in probes {
+                black_box(alg.isolation(p));
+            }
+            let ns = started.elapsed().as_secs_f64() * 1e9 / probes.len().max(1) as f64;
+            best = best.min(ns);
+        }
+        best
+    };
+    alg.set_kernel_enabled(false);
+    let scalar = time(&alg);
+    alg.set_kernel_enabled(true);
+    alg.kernel_synced();
+    (scalar, time(&alg))
+}
+
 fn main() {
     let args = Args::parse();
     let len: usize = args.get("len", 50_000);
@@ -133,7 +183,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut strict_ok = true;
     println!(
-        "{:>5} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
+        "{:>5} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
         "dims",
         "n_micro",
         "scalar_pps",
@@ -142,7 +192,10 @@ fn main() {
         "batched_pps",
         "k_spd",
         "simd",
-        "b_spd"
+        "b_spd",
+        "iso_s_ns",
+        "iso_k_ns",
+        "iso_spd"
     );
     for &dims in &dims_sweep {
         let points = stream(dims, len, eta, seed);
@@ -191,6 +244,9 @@ fn main() {
                 best
             };
 
+            let (iso_scalar_ns, iso_kernel_ns) = measure_isolation(&points, n_micro, dims, reps);
+            let iso_speedup = iso_scalar_ns / iso_kernel_ns;
+
             let simd_speedup = kernel_pps / scalar_kernel_pps;
             let below_floor = simd_speedup < STRICT_FLOOR || simd_speedup.is_nan();
             if strict && dims >= STRICT_MIN_DIMS && below_floor {
@@ -198,6 +254,14 @@ fn main() {
                 eprintln!(
                     "STRICT: dims={dims} n_micro={n_micro}: auto backend is only \
                      {simd_speedup:.2}x the scalar-backend kernel (floor {STRICT_FLOOR}x)"
+                );
+            }
+            let iso_below_floor = iso_speedup < STRICT_ISO_FLOOR || iso_speedup.is_nan();
+            if strict && dims >= STRICT_MIN_DIMS && iso_below_floor {
+                strict_ok = false;
+                eprintln!(
+                    "STRICT: dims={dims} n_micro={n_micro}: kernel isolation is only \
+                     {iso_speedup:.2}x the scalar per-ECF loop (floor {STRICT_ISO_FLOOR}x)"
                 );
             }
             let row = Row {
@@ -211,9 +275,12 @@ fn main() {
                 kernel_speedup: kernel_pps / scalar_pps,
                 simd_speedup,
                 batched_speedup: batched_pps / scalar_pps,
+                iso_scalar_ns,
+                iso_kernel_ns,
+                iso_speedup,
             };
             println!(
-                "{:>5} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.2} {:>8.2} {:>8.2}",
+                "{:>5} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.2} {:>8.2} {:>8.2} {:>9.0} {:>9.0} {:>8.2}",
                 row.dims,
                 row.n_micro,
                 row.scalar_pps,
@@ -222,7 +289,10 @@ fn main() {
                 row.batched_pps,
                 row.kernel_speedup,
                 row.simd_speedup,
-                row.batched_speedup
+                row.batched_speedup,
+                row.iso_scalar_ns,
+                row.iso_kernel_ns,
+                row.iso_speedup
             );
             for b in &row.backends {
                 println!(
@@ -253,7 +323,7 @@ fn main() {
     .expect("write BENCH_kernel.json");
     eprintln!("wrote {}", out.display());
     if strict && !strict_ok {
-        eprintln!("STRICT: SIMD speedup floor violated; failing");
+        eprintln!("STRICT: speedup floor violated; failing");
         std::process::exit(1);
     }
 }

@@ -165,6 +165,21 @@ impl CluStream {
         &self.kernel
     }
 
+    /// Squared Euclidean distance from `values` to the nearest centroid:
+    /// one kernel sweep when the kernel is live (its rows carry zero
+    /// noise, so the error-corrected sweep with zero errors is the plain
+    /// distance), the per-CF loop otherwise. `INFINITY` when there are no
+    /// clusters or no centroid is a finite distance away.
+    pub(crate) fn nearest_sq_distance(&self, values: &[f64]) -> f64 {
+        if self.kernel_live() {
+            return self.kernel.min_sq_euclidean(values);
+        }
+        self.clusters
+            .iter()
+            .map(|c| c.cf.sq_distance_to(values))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Processes one stream point (error vector ignored).
     pub fn insert(&mut self, point: &UncertainPoint) -> CluStreamInsert {
         debug_assert_eq!(point.dims(), self.config.dims);

@@ -10,7 +10,6 @@ use crate::feature::CfVector;
 use crate::micro::CluStream;
 use umicro::online::OnlineClusterer;
 use umicro::{InsertOutcome, MacroClustering};
-use ustream_common::point::sq_euclidean;
 use ustream_common::{Timestamp, UncertainPoint};
 use ustream_snapshot::ClusterSetSnapshot;
 
@@ -59,14 +58,8 @@ impl OnlineClusterer for CluStream {
 
     fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
         // CluStream ignores error vectors, so its native geometry is plain
-        // Euclidean distance to the nearest centroid. One reusable buffer
-        // instead of a fresh `Vec` per cluster.
-        let mut centroid = vec![0.0; point.dims()];
-        let mut best = f64::INFINITY;
-        for c in CluStream::micro_clusters(self) {
-            c.cf.centroid_into(&mut centroid);
-            best = best.min(sq_euclidean(point.values(), &centroid));
-        }
+        // Euclidean distance to the nearest centroid.
+        let best = self.nearest_sq_distance(point.values());
         best.is_finite().then(|| best.sqrt())
     }
 

@@ -73,6 +73,12 @@ impl InsertOutcome {
     }
 }
 
+/// `√sq` when finite: the isolation of a point whose lowest corrected
+/// squared distance is `sq` (`INFINITY` meaning no finite cluster).
+fn isolation_from_sq(sq: f64) -> Option<f64> {
+    sq.is_finite().then(|| sq.sqrt())
+}
+
 /// The UMicro algorithm (undecayed form; see
 /// [`crate::DecayedUMicro`] for the §II-E time-decay variant).
 #[derive(Debug, Clone)]
@@ -184,6 +190,44 @@ impl UMicro {
     /// Debug builds assert the point's dimensionality matches the
     /// configuration.
     pub fn insert(&mut self, point: &UncertainPoint) -> InsertOutcome {
+        self.insert_inner(point, false).0
+    }
+
+    /// Error-corrected distance from `point` to the nearest micro-cluster:
+    /// `√ minᵢ Σⱼ max(0, (xⱼ−cᵢⱼ)² − ψⱼ² − EF2ᵢⱼ/Wᵢ²)`, the clean geometry
+    /// novelty detection scores arrivals with — UMicro's
+    /// [`crate::OnlineClusterer::isolation`]. One kernel sweep when the
+    /// kernel is live, the scalar per-ECF loop otherwise. `None` while no
+    /// clusters exist, and for a point no cluster is a finite distance
+    /// from (a NaN or ±∞ coordinate).
+    pub(crate) fn corrected_isolation(&self, point: &UncertainPoint) -> Option<f64> {
+        isolation_from_sq(self.min_corrected_sq(point))
+    }
+
+    /// The squared form of [`UMicro::corrected_isolation`] (`INFINITY`
+    /// when empty).
+    fn min_corrected_sq(&self, point: &UncertainPoint) -> f64 {
+        if self.kernel_live() {
+            self.kernel.min_corrected_sq(point.values(), point.errors())
+        } else {
+            self.clusters
+                .iter()
+                .map(|c| corrected_sq_distance(point, &c.ecf))
+                .fold(f64::INFINITY, f64::min)
+        }
+    }
+
+    /// The insertion loop. `scored` adds the point's pre-insertion
+    /// isolation ([`UMicro::corrected_isolation`]): when the kernel ranks
+    /// the point with its fused sweep, the isolation comes out of that
+    /// same sweep; otherwise (bootstrap, expected-distance ranking,
+    /// uninformative variances) it costs one extra sweep. The outcome is
+    /// the same either way.
+    fn insert_inner(
+        &mut self,
+        point: &UncertainPoint,
+        scored: bool,
+    ) -> (InsertOutcome, Option<f64>) {
         debug_assert_eq!(point.dims(), self.config.dims);
         // Last line of defence against poison points: a NaN/∞ coordinate
         // absorbed into an ECF contaminates every derived statistic
@@ -192,7 +236,12 @@ impl UMicro {
         // cluster. Engines validate earlier with richer policy; this keeps
         // direct users safe too.
         if !point.values_finite() || !point.errors_valid() {
-            return InsertOutcome::rejected();
+            let isolation = if scored {
+                self.corrected_isolation(point)
+            } else {
+                None
+            };
+            return (InsertOutcome::rejected(), isolation);
         }
         let now = point.timestamp();
         self.inserted += 1;
@@ -209,15 +258,27 @@ impl UMicro {
         // keeps micro-clusters *micro*: afterwards every point lands on a
         // nearby seed instead of inflating one early cluster.
         if self.clusters.len() < self.config.n_micro {
+            let isolation = if scored {
+                self.corrected_isolation(point)
+            } else {
+                None
+            };
             let id = self.create_cluster(point);
-            return InsertOutcome {
+            let outcome = InsertOutcome {
                 cluster_id: id,
                 created: true,
                 evicted: None,
             };
+            return (outcome, isolation);
         }
 
-        let best = self.closest_cluster(point);
+        let (best, swept) = self.closest_cluster(point, scored);
+        // Scored before any statistic moves: the cluster set the point met.
+        let isolation = if scored {
+            isolation_from_sq(swept.unwrap_or_else(|| self.min_corrected_sq(point)))
+        } else {
+            None
+        };
         let best_ecf = &self.clusters[best].ecf;
         let live = self.kernel_live();
         // Radius/distance pair per the configured boundary mode; the kernel
@@ -270,7 +331,7 @@ impl UMicro {
             Some(0.0) // unused by boundary_decision when radius is healthy
         };
 
-        match boundary_decision(
+        let outcome = match boundary_decision(
             radius,
             d2,
             self.config.boundary_factor,
@@ -304,7 +365,8 @@ impl UMicro {
                     evicted,
                 }
             }
-        }
+        };
+        (outcome, isolation)
     }
 
     /// Processes a mini-batch of stream points, appending one outcome per
@@ -321,6 +383,26 @@ impl UMicro {
         }
         for p in points {
             out.push(self.insert(p));
+        }
+    }
+
+    /// [`UMicro::insert_batch`] that also reports each point's
+    /// pre-insertion isolation ([`crate::OnlineClusterer::isolation`]):
+    /// one `(outcome, isolation)` pair per point, appended to `out`. Where
+    /// the kernel's fused sweep ranks a point, the isolation comes out of
+    /// that same sweep. Syncing the kernel up front keeps every isolation
+    /// on the kernel.
+    pub fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        out.reserve(points.len());
+        if self.kernel_enabled && self.kernel_stale {
+            self.sync_kernel();
+        }
+        for p in points {
+            out.push(self.insert_inner(p, true));
         }
     }
 
@@ -498,31 +580,43 @@ impl UMicro {
         Some(victim.id)
     }
 
-    /// Index of the closest cluster under the configured similarity.
-    fn closest_cluster(&self, point: &UncertainPoint) -> usize {
+    /// Index of the closest cluster under the configured similarity. When
+    /// `scored` and the ranking runs the kernel's fused sweep, the sweep
+    /// also yields the lowest corrected squared distance (the second
+    /// value); otherwise that is `None`.
+    fn closest_cluster(&self, point: &UncertainPoint, scored: bool) -> (usize, Option<f64>) {
         debug_assert!(!self.clusters.is_empty());
         match self.config.similarity {
-            SimilarityMode::ExpectedDistance => self.closest_by_expected_distance(point),
+            SimilarityMode::ExpectedDistance => (self.closest_by_expected_distance(point), None),
             SimilarityMode::DimensionCounting { thresh } => {
                 if !self.global.is_informative() {
                     // Early stream: no variance estimate yet.
-                    return self.closest_by_expected_distance(point);
+                    return (self.closest_by_expected_distance(point), None);
                 }
                 if self.kernel_live() {
-                    let fused = self
-                        .kernel
-                        .rank_fused(point.values(), point.errors(), &self.scratch_inv)
+                    let (values, errors, inv) = (point.values(), point.errors(), &self.scratch_inv);
+                    let swept = if scored {
+                        self.kernel
+                            .rank_fused_scored(values, errors, inv)
+                            .map(|(fused, corrected)| (fused, Some(corrected)))
+                    } else {
+                        self.kernel
+                            .rank_fused(values, errors, inv)
+                            .map(|f| (f, None))
+                    };
+                    let (fused, corrected) = swept
                         // lint:allow(hot-panic): kernel mirrors self.clusters, checked non-empty above
                         .expect("ranking requires a non-empty cluster set");
                     // The point earned no credit anywhere (far from all
                     // clusters on every informative dimension): fall back
                     // to expected-distance ranking, whose argmin the fused
                     // sweep already carries — no second pass over the rows.
-                    return if fused.sim <= 0.0 {
+                    let best = if fused.sim <= 0.0 {
                         fused.dist_idx
                     } else {
                         fused.sim_idx
                     };
+                    return (best, corrected);
                 }
                 let mut best = 0usize;
                 let mut best_sim = f64::NEG_INFINITY;
@@ -535,9 +629,9 @@ impl UMicro {
                 }
                 if best_sim <= 0.0 {
                     // Scalar fallback keeps the explicit second ranking pass.
-                    return self.closest_by_expected_distance(point);
+                    return (self.closest_by_expected_distance(point), None);
                 }
-                best
+                (best, None)
             }
         }
     }

@@ -101,12 +101,34 @@ impl DecayedUMicro {
 
     /// Processes a mini-batch of stream points; see [`UMicro::insert_batch`].
     pub fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
+        self.observe_ticks(points);
+        self.inner.insert_batch(points, out);
+    }
+
+    /// Processes a mini-batch and reports each point's pre-insertion
+    /// isolation beside its outcome; see [`UMicro::insert_batch_scored`].
+    pub fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        self.observe_ticks(points);
+        self.inner.insert_batch_scored(points, out);
+    }
+
+    /// Error-corrected distance to the nearest micro-cluster, against the
+    /// statistics as stored (each at its own reference tick — decay
+    /// scales `EF2/W²` only until the next touch).
+    pub(crate) fn corrected_isolation(&self, point: &UncertainPoint) -> Option<f64> {
+        self.inner.corrected_isolation(point)
+    }
+
+    fn observe_ticks(&mut self, points: &[UncertainPoint]) {
         if let Some(last) = points.iter().map(|p| p.timestamp()).max() {
             if last > self.last_seen {
                 self.last_seen = last;
             }
         }
-        self.inner.insert_batch(points, out);
     }
 
     /// Toggles the SoA distance kernel; see [`UMicro::set_kernel_enabled`].

@@ -104,6 +104,9 @@ pub struct ClusterKernel {
     /// Whether expected-distance ranking may pre-scan in f32 (the
     /// winner is always re-derived in exact canonical f64).
     f32_rank: bool,
+    /// `dims` zeros: the error vector of a deterministic point and the
+    /// (unused) similarity coefficients of a corrected-distance sweep.
+    zeros: Vec<f64>,
     /// Bumped on every mutation; owners compare against their own model
     /// generation to prove freshness.
     generation: u64,
@@ -130,6 +133,7 @@ impl ClusterKernel {
     pub fn new(dims: usize) -> Self {
         Self {
             dims,
+            zeros: vec![0.0; dims],
             ..Self::default()
         }
     }
@@ -443,6 +447,56 @@ impl ClusterKernel {
             errors,
             inv_coeff,
         ))
+    }
+
+    /// [`ClusterKernel::rank_fused`] plus, from the same pass, the lowest
+    /// error-corrected squared distance over the rows (see
+    /// [`simd::rank_fused_scored`]). `None` when empty.
+    pub fn rank_fused_scored(
+        &self,
+        values: &[f64],
+        errors: &[f64],
+        inv_coeff: &[f64],
+    ) -> Option<(simd::FusedBest, f64)> {
+        debug_assert_eq!(values.len(), self.dims);
+        debug_assert_eq!(inv_coeff.len(), self.dims);
+        if self.len == 0 {
+            return None;
+        }
+        Some(simd::rank_fused_scored(
+            &self.centroids,
+            &self.noise,
+            self.dims,
+            values,
+            errors,
+            inv_coeff,
+        ))
+    }
+
+    /// Lowest error-corrected squared distance from an uncertain point to
+    /// any row, `Σⱼ max(0, (xⱼ−cⱼ)² − ψⱼ² − EF2ⱼ/W²)` — one scored sweep
+    /// (see [`simd::rank_fused_scored`]). `INFINITY` when the kernel is
+    /// empty or no row is finite (a non-finite point poisons every row).
+    pub fn min_corrected_sq(&self, values: &[f64], errors: &[f64]) -> f64 {
+        debug_assert_eq!(values.len(), self.dims);
+        let (_, corrected) = simd::rank_fused_scored(
+            &self.centroids,
+            &self.noise,
+            self.dims,
+            values,
+            errors,
+            &self.zeros,
+        );
+        corrected
+    }
+
+    /// Squared Euclidean distance from a deterministic point to the
+    /// nearest centroid of `noise ≡ 0` rows: with zero errors and zero
+    /// noise the corrected sweep is exactly `Σⱼ (xⱼ−cⱼ)²`, so this is
+    /// [`ClusterKernel::min_corrected_sq`] in difference form.
+    /// `INFINITY` when empty.
+    pub fn min_sq_euclidean(&self, values: &[f64]) -> f64 {
+        self.min_corrected_sq(values, &self.zeros)
     }
 
     /// Squared Euclidean distance from cluster `i`'s centroid to the nearest

@@ -13,9 +13,10 @@
 //!
 //! # The canonical reduction contract
 //!
-//! Every backend — scalar included — computes dot products and
-//! dimension-counting credits with the *same* floating-point operation
-//! sequence, so results are **bitwise identical** across backends:
+//! Every backend — scalar included — computes dot products,
+//! dimension-counting credits and error-corrected distances with the
+//! *same* floating-point operation sequence, so results are **bitwise
+//! identical** across backends:
 //!
 //! * four independent accumulator lanes; chunk element `j` feeds lane
 //!   `j % 4` as `lane += a[j] * b[j]` (separate mul then add — never FMA,
@@ -34,6 +35,9 @@
 //! (skipped dimension: `0 · ∞`) must clamp to `0`. `f64::max`,
 //! `_mm256_max_pd`/`_mm512_max_pd` (NaN in the first operand returns the
 //! second) and NEON `vmaxnmq_f64` (IEEE maxNum) all agree on that.
+//! The corrected term `t = (x−c)² − ψ² − e` clamps the same way and then
+//! adds `t · 0` (`±0` when `t` is finite, NaN otherwise), so a NaN or ±∞
+//! term leaves its row's corrected sum NaN, and a NaN row never wins.
 //!
 //! # Dispatch
 //!
@@ -185,6 +189,81 @@ impl FusedBest {
             sim: f64::NEG_INFINITY,
         }
     }
+}
+
+/// Running result of a fused sweep: the rankings, plus the lowest
+/// error-corrected squared distance when the sweep is scored
+/// (`INFINITY` otherwise, or when no row is finite).
+struct Sweep {
+    best: FusedBest,
+    corrected: f64,
+}
+
+impl Sweep {
+    fn new() -> Sweep {
+        Sweep {
+            best: FusedBest::empty(),
+            corrected: f64::INFINITY,
+        }
+    }
+
+    /// Folds row `i`'s reductions into the running bests; `corr`, the
+    /// raw corrected lane sum, only when `SCORE`. NaN there marks a
+    /// non-finite term, and a NaN never compares below the running
+    /// minimum.
+    #[inline(always)]
+    fn offer<const SCORE: bool>(&mut self, i: usize, dist: f64, sim: f64, corr: f64) {
+        if dist < self.best.dist_score {
+            self.best.dist_idx = i;
+            self.best.dist_score = dist;
+        }
+        if sim > self.best.sim {
+            self.best.sim_idx = i;
+            self.best.sim = sim;
+        }
+        if SCORE && corr < self.corrected {
+            self.corrected = corr;
+        }
+    }
+}
+
+/// One dimension's contribution to the corrected lane: the clamped term
+/// `max(t, 0)` plus `t · 0`, which is `±0` for a finite `t` (leaving the
+/// non-negative clamp unchanged) and NaN for NaN or ±∞ — so a poisoned
+/// term turns its lane (and so its row sum) into NaN instead of clamping
+/// to zero. The SIMD backends issue the same max, mul and add in the same
+/// order.
+#[inline(always)]
+fn corrected_term(t: f64) -> f64 {
+    t.max(0.0) + t * 0.0
+}
+
+/// One element of the fused sweep, in the canonical operation order
+/// every backend's vector body reproduces: with `ff = (x−c)²` and
+/// `pe = ψ²`, the deviation moment `v = (ff + pe) + e` (summing to the
+/// exact expected squared distance, Lemma 2.2), its clamped
+/// dimension-counting credit `max(1 − v·inv, 0)`, and — when `SCORE` —
+/// the corrected term of `t = (ff − pe) − e` (zero otherwise). Every
+/// backend's tail elements go through here.
+#[inline(always)]
+fn fused_elem<const SCORE: bool>(x: f64, c: f64, err: f64, e: f64, inv: f64) -> (f64, f64, f64) {
+    let f = x - c;
+    let ff = f * f;
+    let pe = err * err;
+    let v = (ff + pe) + e;
+    let corr = if SCORE {
+        corrected_term((ff - pe) - e)
+    } else {
+        0.0
+    };
+    (v, (1.0 - v * inv).max(0.0), corr)
+}
+
+/// The canonical lane reduction `(l0 + l1) + (l2 + l3)`.
+#[inline(always)]
+fn reduce4(l: [f64; 4]) -> f64 {
+    let [l0, l1, l2, l3] = l;
+    (l0 + l1) + (l2 + l3)
 }
 
 // == Dispatch ===========================================================
@@ -374,6 +453,55 @@ pub fn rank_fused_with(
     errs: &[f64],
     inv: &[f64],
 ) -> FusedBest {
+    sweep::<false>(backend, centroids, noise, dims, x, errs, inv).best
+}
+
+/// [`rank_fused`] with a third output from the same pass: the lowest
+/// error-corrected squared distance over the rows,
+/// `minᵢ Σⱼ max(0, (xⱼ−cᵢⱼ)² − ψⱼ² − eᵢⱼ)` — the clean-geometry
+/// distance novelty detection scores isolation with. The corrected term
+/// reuses the two squares the sweep already forms, costing a few lane
+/// ops per element; a row with a NaN or ±∞ term ranks at `+∞` and never
+/// wins. The second value is `INFINITY` when the matrices are empty or
+/// no row is finite. The rankings are bitwise those of [`rank_fused`].
+pub fn rank_fused_scored(
+    centroids: &[f64],
+    noise: &[f64],
+    dims: usize,
+    x: &[f64],
+    errs: &[f64],
+    inv: &[f64],
+) -> (FusedBest, f64) {
+    rank_fused_scored_with(active(), centroids, noise, dims, x, errs, inv)
+}
+
+/// [`rank_fused_scored`] on an explicit backend.
+#[allow(clippy::too_many_arguments)]
+pub fn rank_fused_scored_with(
+    backend: Backend,
+    centroids: &[f64],
+    noise: &[f64],
+    dims: usize,
+    x: &[f64],
+    errs: &[f64],
+    inv: &[f64],
+) -> (FusedBest, f64) {
+    let s = sweep::<true>(backend, centroids, noise, dims, x, errs, inv);
+    (s.best, s.corrected)
+}
+
+/// Shape checks and backend dispatch shared by both fused entry points;
+/// `SCORE` compiles the corrected lane in or out of every backend.
+#[allow(clippy::too_many_arguments)]
+fn sweep<const SCORE: bool>(
+    backend: Backend,
+    centroids: &[f64],
+    noise: &[f64],
+    dims: usize,
+    x: &[f64],
+    errs: &[f64],
+    inv: &[f64],
+) -> Sweep {
     assert_eq!(x.len(), dims, "point dimensionality mismatch");
     assert_eq!(errs.len(), dims, "error vector dimensionality mismatch");
     assert_eq!(
@@ -383,29 +511,31 @@ pub fn rank_fused_with(
     );
     assert_eq!(noise.len(), centroids.len(), "noise matrix shape mismatch");
     if dims == 0 {
-        return FusedBest::empty();
+        return Sweep::new();
     }
     assert_eq!(centroids.len() % dims, 0, "centroid matrix shape mismatch");
     let rows = centroids.len() / dims;
     match backend {
-        Backend::Portable => portable::rank_fused(centroids, noise, rows, dims, x, errs, inv),
+        Backend::Portable => {
+            portable::rank_fused::<SCORE>(centroids, noise, rows, dims, x, errs, inv)
+        }
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if backend.available() => {
             // SAFETY: the guard above confirmed AVX2 support.
-            unsafe { x86::rank_fused_avx2(centroids, noise, rows, dims, x, errs, inv) }
+            unsafe { x86::rank_fused_avx2::<SCORE>(centroids, noise, rows, dims, x, errs, inv) }
         }
         #[cfg(target_arch = "x86_64")]
         Backend::Avx512 if backend.available() => {
             // SAFETY: the guard above confirmed AVX-512F + AVX2 support.
-            unsafe { x86::rank_fused_avx512(centroids, noise, rows, dims, x, errs, inv) }
+            unsafe { x86::rank_fused_avx512::<SCORE>(centroids, noise, rows, dims, x, errs, inv) }
         }
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => {
             // SAFETY: NEON is baseline on aarch64, and this arm only
             // compiles for aarch64 targets.
-            unsafe { neon::rank_fused_neon(centroids, noise, rows, dims, x, errs, inv) }
+            unsafe { neon::rank_fused_neon::<SCORE>(centroids, noise, rows, dims, x, errs, inv) }
         }
-        _ => scalar::rank_fused(centroids, noise, rows, dims, x, errs, inv),
+        _ => scalar::rank_fused::<SCORE>(centroids, noise, rows, dims, x, errs, inv),
     }
 }
 
@@ -484,7 +614,7 @@ pub fn f32_rank_slack(dims: usize) -> f64 {
 // == Scalar backend (the parity reference) ==============================
 
 mod scalar {
-    use super::FusedBest;
+    use super::{fused_elem, Sweep};
 
     /// Canonical four-lane dot product; every other backend must match
     /// this bitwise.
@@ -531,59 +661,76 @@ mod scalar {
     /// exact expected squared distance (Lemma 2.2), and the clamped
     /// `1 − vⱼ/(t·σⱼ²)` is the dimension-counting credit — so the second
     /// ranking costs one extra add per lane, not a second dot product.
-    pub(super) fn row_fused(
+    /// When `SCORE`, the same squares also give the corrected term (see
+    /// [`fused_elem`]). Returns `(distance, credit, corrected)`; inlined
+    /// so an unscored sweep drops the corrected lanes entirely.
+    #[inline(always)]
+    pub(super) fn row_fused<const SCORE: bool>(
         c: &[f64],
         e: &[f64],
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> (f64, f64) {
+    ) -> (f64, f64, f64) {
         let d = x.len();
         let chunks = d / 4;
         let (mut d0, mut d1, mut d2, mut d3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        let (mut c0, mut c1, mut c2, mut c3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for i in 0..chunks {
             let j = 4 * i;
-            let f0 = x[j] - c[j];
-            let f1 = x[j + 1] - c[j + 1];
-            let f2 = x[j + 2] - c[j + 2];
-            let f3 = x[j + 3] - c[j + 3];
-            let v0 = (f0 * f0 + errs[j] * errs[j]) + e[j];
-            let v1 = (f1 * f1 + errs[j + 1] * errs[j + 1]) + e[j + 1];
-            let v2 = (f2 * f2 + errs[j + 2] * errs[j + 2]) + e[j + 2];
-            let v3 = (f3 * f3 + errs[j + 3] * errs[j + 3]) + e[j + 3];
+            let (v0, k0, t0) = fused_elem::<SCORE>(x[j], c[j], errs[j], e[j], inv[j]);
+            let (v1, k1, t1) =
+                fused_elem::<SCORE>(x[j + 1], c[j + 1], errs[j + 1], e[j + 1], inv[j + 1]);
+            let (v2, k2, t2) =
+                fused_elem::<SCORE>(x[j + 2], c[j + 2], errs[j + 2], e[j + 2], inv[j + 2]);
+            let (v3, k3, t3) =
+                fused_elem::<SCORE>(x[j + 3], c[j + 3], errs[j + 3], e[j + 3], inv[j + 3]);
             d0 += v0;
             d1 += v1;
             d2 += v2;
             d3 += v3;
-            s0 += (1.0 - v0 * inv[j]).max(0.0);
-            s1 += (1.0 - v1 * inv[j + 1]).max(0.0);
-            s2 += (1.0 - v2 * inv[j + 2]).max(0.0);
-            s3 += (1.0 - v3 * inv[j + 3]).max(0.0);
+            s0 += k0;
+            s1 += k1;
+            s2 += k2;
+            s3 += k3;
+            if SCORE {
+                c0 += t0;
+                c1 += t1;
+                c2 += t2;
+                c3 += t3;
+            }
         }
+        // Tail elements land in the lane they would occupy in a full
+        // chunk (j % 4 ∈ {0, 1, 2} — a tail is at most 3 long).
         for j in 4 * chunks..d {
-            let f = x[j] - c[j];
-            let v = (f * f + errs[j] * errs[j]) + e[j];
-            let credit = (1.0 - v * inv[j]).max(0.0);
+            let (v, credit, corr) = fused_elem::<SCORE>(x[j], c[j], errs[j], e[j], inv[j]);
             match j % 4 {
                 0 => {
                     d0 += v;
                     s0 += credit;
+                    c0 += corr;
                 }
                 1 => {
                     d1 += v;
                     s1 += credit;
+                    c1 += corr;
                 }
                 _ => {
                     d2 += v;
                     s2 += credit;
+                    c2 += corr;
                 }
             }
         }
-        ((d0 + d1) + (d2 + d3), (s0 + s1) + (s2 + s3))
+        (
+            (d0 + d1) + (d2 + d3),
+            (s0 + s1) + (s2 + s3),
+            (c0 + c1) + (c2 + c3),
+        )
     }
 
-    pub(super) fn rank_fused(
+    pub(super) fn rank_fused<const SCORE: bool>(
         centroids: &[f64],
         noise: &[f64],
         rows: usize,
@@ -591,20 +738,13 @@ mod scalar {
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> FusedBest {
-        let mut out = FusedBest::empty();
+    ) -> Sweep {
+        let mut out = Sweep::new();
         for i in 0..rows {
             let row = &centroids[i * dims..i * dims + dims];
             let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
+            let (dist, sim, corr) = row_fused::<SCORE>(row, erow, x, errs, inv);
+            out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
     }
@@ -613,7 +753,7 @@ mod scalar {
 // == Portable lane backend ==============================================
 
 mod portable {
-    use super::FusedBest;
+    use super::{fused_elem, reduce4, Sweep};
 
     #[inline(always)]
     fn load(s: &[f64], j: usize) -> [f64; 4] {
@@ -648,12 +788,6 @@ mod portable {
         [a0.max(0.0), a1.max(0.0), a2.max(0.0), a3.max(0.0)]
     }
 
-    #[inline(always)]
-    fn reduce(a: [f64; 4]) -> f64 {
-        let [a0, a1, a2, a3] = a;
-        (a0 + a1) + (a2 + a3)
-    }
-
     pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
         let d = a.len();
         let chunks = d / 4;
@@ -665,7 +799,7 @@ mod portable {
         for j in 4 * chunks..d {
             acc[j % 4] += a[j] * b[j];
         }
-        reduce(acc)
+        reduce4(acc)
     }
 
     pub(super) fn rank_min(centroids: &[f64], sm: &[f64], dims: usize, x: &[f64]) -> (usize, f64) {
@@ -682,32 +816,49 @@ mod portable {
         (best, best_score)
     }
 
-    fn row_fused(c: &[f64], e: &[f64], x: &[f64], errs: &[f64], inv: &[f64]) -> (f64, f64) {
+    fn row_fused<const SCORE: bool>(
+        c: &[f64],
+        e: &[f64],
+        x: &[f64],
+        errs: &[f64],
+        inv: &[f64],
+    ) -> (f64, f64, f64) {
         let d = x.len();
         let chunks = d / 4;
         let mut dacc = [0.0f64; 4];
         let mut sacc = [0.0f64; 4];
+        let mut cacc = [0.0f64; 4];
         let ones = [1.0f64; 4];
+        let zeros = [0.0f64; 4];
         for i in 0..chunks {
             let j = 4 * i;
             let vx = load(x, j);
             let vc = load(c, j);
             let diff = sub(vx, vc);
             let verr = load(errs, j);
-            let vj = add(add(mul(diff, diff), mul(verr, verr)), load(e, j));
+            let ve = load(e, j);
+            let ff = mul(diff, diff);
+            let pe = mul(verr, verr);
+            let vj = add(add(ff, pe), ve);
             dacc = add(dacc, vj);
             sacc = add(sacc, relu(sub(ones, mul(vj, load(inv, j)))));
+            if SCORE {
+                let t = sub(sub(ff, pe), ve);
+                cacc = add(cacc, add(relu(t), mul(t, zeros)));
+            }
         }
         for j in 4 * chunks..d {
-            let f = x[j] - c[j];
-            let v = (f * f + errs[j] * errs[j]) + e[j];
+            let (v, credit, corr) = fused_elem::<SCORE>(x[j], c[j], errs[j], e[j], inv[j]);
             dacc[j % 4] += v;
-            sacc[j % 4] += (1.0 - v * inv[j]).max(0.0);
+            sacc[j % 4] += credit;
+            if SCORE {
+                cacc[j % 4] += corr;
+            }
         }
-        (reduce(dacc), reduce(sacc))
+        (reduce4(dacc), reduce4(sacc), reduce4(cacc))
     }
 
-    pub(super) fn rank_fused(
+    pub(super) fn rank_fused<const SCORE: bool>(
         centroids: &[f64],
         noise: &[f64],
         rows: usize,
@@ -715,20 +866,13 @@ mod portable {
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> FusedBest {
-        let mut out = FusedBest::empty();
+    ) -> Sweep {
+        let mut out = Sweep::new();
         for i in 0..rows {
             let row = &centroids[i * dims..i * dims + dims];
             let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
+            let (dist, sim, corr) = row_fused::<SCORE>(row, erow, x, errs, inv);
+            out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
     }
@@ -765,7 +909,7 @@ mod x86 {
         _mm512_setzero_pd, _mm512_storeu_pd, _mm512_sub_pd,
     };
 
-    use super::FusedBest;
+    use super::{fused_elem, reduce4, Sweep};
 
     // SAFETY: every function in this module is `unsafe fn` gated on
     // `#[target_feature]`; the dispatch arms in the parent module only
@@ -816,17 +960,18 @@ mod x86 {
 
     // SAFETY: caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    unsafe fn row_fused_avx2(
+    unsafe fn row_fused_avx2<const SCORE: bool>(
         c: &[f64],
         e: &[f64],
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> (f64, f64) {
+    ) -> (f64, f64, f64) {
         let d = x.len();
         let chunks = d / 4;
         let mut dacc = _mm256_setzero_pd();
         let mut sacc = _mm256_setzero_pd();
+        let mut cacc = _mm256_setzero_pd();
         let ones = _mm256_set1_pd(1.0);
         let zero = _mm256_setzero_pd();
         for i in 0..chunks {
@@ -839,33 +984,39 @@ mod x86 {
             let ve = _mm256_loadu_pd(e.as_ptr().add(j));
             let vinv = _mm256_loadu_pd(inv.as_ptr().add(j));
             let diff = _mm256_sub_pd(vx, vc);
-            let vj = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(diff, diff), _mm256_mul_pd(verr, verr)),
-                ve,
-            );
+            let ff = _mm256_mul_pd(diff, diff);
+            let pe = _mm256_mul_pd(verr, verr);
+            let vj = _mm256_add_pd(_mm256_add_pd(ff, pe), ve);
             dacc = _mm256_add_pd(dacc, vj);
             // max_pd(NaN, 0) = 0, matching `f64::max` on skipped dims.
             let credit = _mm256_max_pd(_mm256_sub_pd(ones, _mm256_mul_pd(vj, vinv)), zero);
             sacc = _mm256_add_pd(sacc, credit);
+            if SCORE {
+                let t = _mm256_sub_pd(_mm256_sub_pd(ff, pe), ve);
+                let corr = _mm256_add_pd(_mm256_max_pd(t, zero), _mm256_mul_pd(t, zero));
+                cacc = _mm256_add_pd(cacc, corr);
+            }
         }
         let mut dl = [0.0f64; 4];
         let mut sl = [0.0f64; 4];
+        let mut cl = [0.0f64; 4];
         _mm256_storeu_pd(dl.as_mut_ptr(), dacc);
         _mm256_storeu_pd(sl.as_mut_ptr(), sacc);
+        _mm256_storeu_pd(cl.as_mut_ptr(), cacc);
         for j in 4 * chunks..d {
-            let f = x[j] - c[j];
-            let v = (f * f + errs[j] * errs[j]) + e[j];
+            let (v, credit, corr) = fused_elem::<SCORE>(x[j], c[j], errs[j], e[j], inv[j]);
             dl[j % 4] += v;
-            sl[j % 4] += (1.0 - v * inv[j]).max(0.0);
+            sl[j % 4] += credit;
+            if SCORE {
+                cl[j % 4] += corr;
+            }
         }
-        let [d0, d1, d2, d3] = dl;
-        let [s0, s1, s2, s3] = sl;
-        ((d0 + d1) + (d2 + d3), (s0 + s1) + (s2 + s3))
+        (reduce4(dl), reduce4(sl), reduce4(cl))
     }
 
     // SAFETY: caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rank_fused_avx2(
+    pub(super) unsafe fn rank_fused_avx2<const SCORE: bool>(
         centroids: &[f64],
         noise: &[f64],
         rows: usize,
@@ -873,20 +1024,13 @@ mod x86 {
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> FusedBest {
-        let mut out = FusedBest::empty();
+    ) -> Sweep {
+        let mut out = Sweep::new();
         for i in 0..rows {
             let row = &centroids[i * dims..i * dims + dims];
             let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused_avx2(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
+            let (dist, sim, corr) = row_fused_avx2::<SCORE>(row, erow, x, errs, inv);
+            out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
     }
@@ -958,7 +1102,7 @@ mod x86 {
 
     // SAFETY: caller must ensure AVX-512F and AVX2 are available.
     #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub(super) unsafe fn rank_fused_avx512(
+    pub(super) unsafe fn rank_fused_avx512<const SCORE: bool>(
         centroids: &[f64],
         noise: &[f64],
         rows: usize,
@@ -966,10 +1110,10 @@ mod x86 {
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> FusedBest {
+    ) -> Sweep {
         let len = rows;
         let chunks = dims / 4;
-        let mut out = FusedBest::empty();
+        let mut out = Sweep::new();
         let ones = _mm512_set1_pd(1.0);
         let zero = _mm512_setzero_pd();
         let mut i = 0usize;
@@ -980,6 +1124,7 @@ mod x86 {
             let eb = &noise[(i + 1) * dims..(i + 1) * dims + dims];
             let mut dacc = _mm512_setzero_pd();
             let mut sacc = _mm512_setzero_pd();
+            let mut cacc = _mm512_setzero_pd();
             for k in 0..chunks {
                 let j = 4 * k;
                 // In-bounds: j + 3 < 4 * chunks <= dims everywhere.
@@ -995,65 +1140,46 @@ mod x86 {
                     _mm256_loadu_pd(eb.as_ptr().add(j)),
                 );
                 let diff = _mm512_sub_pd(vx, vc);
-                let vj = _mm512_add_pd(
-                    _mm512_add_pd(_mm512_mul_pd(diff, diff), _mm512_mul_pd(verr, verr)),
-                    ve,
-                );
+                let ff = _mm512_mul_pd(diff, diff);
+                let pe = _mm512_mul_pd(verr, verr);
+                let vj = _mm512_add_pd(_mm512_add_pd(ff, pe), ve);
                 dacc = _mm512_add_pd(dacc, vj);
                 let credit = _mm512_max_pd(_mm512_sub_pd(ones, _mm512_mul_pd(vj, vinv)), zero);
                 sacc = _mm512_add_pd(sacc, credit);
+                if SCORE {
+                    let t = _mm512_sub_pd(_mm512_sub_pd(ff, pe), ve);
+                    let corr = _mm512_add_pd(_mm512_max_pd(t, zero), _mm512_mul_pd(t, zero));
+                    cacc = _mm512_add_pd(cacc, corr);
+                }
             }
-            let mut dl = [0.0f64; 8];
-            let mut sl = [0.0f64; 8];
-            _mm512_storeu_pd(dl.as_mut_ptr(), dacc);
-            _mm512_storeu_pd(sl.as_mut_ptr(), sacc);
+            // Lanes 0–3 are row `i`, lanes 4–7 row `i + 1`.
+            let mut dl = [[0.0f64; 4]; 2];
+            let mut sl = [[0.0f64; 4]; 2];
+            let mut cl = [[0.0f64; 4]; 2];
+            _mm512_storeu_pd(dl.as_mut_ptr().cast::<f64>(), dacc);
+            _mm512_storeu_pd(sl.as_mut_ptr().cast::<f64>(), sacc);
+            _mm512_storeu_pd(cl.as_mut_ptr().cast::<f64>(), cacc);
             for j in 4 * chunks..dims {
-                let fa = x[j] - ca[j];
-                let fb = x[j] - cb[j];
-                let ee = errs[j] * errs[j];
-                let va = (fa * fa + ee) + ea[j];
-                let vb = (fb * fb + ee) + eb[j];
-                dl[j % 4] += va;
-                dl[4 + j % 4] += vb;
-                sl[j % 4] += (1.0 - va * inv[j]).max(0.0);
-                sl[4 + j % 4] += (1.0 - vb * inv[j]).max(0.0);
+                for (r, (cr, er)) in [(ca, ea), (cb, eb)].into_iter().enumerate() {
+                    let (v, credit, corr) =
+                        fused_elem::<SCORE>(x[j], cr[j], errs[j], er[j], inv[j]);
+                    dl[r][j % 4] += v;
+                    sl[r][j % 4] += credit;
+                    if SCORE {
+                        cl[r][j % 4] += corr;
+                    }
+                }
             }
-            let [da0, da1, da2, da3, db0, db1, db2, db3] = dl;
-            let [sa0, sa1, sa2, sa3, sb0, sb1, sb2, sb3] = sl;
-            let dist_a = (da0 + da1) + (da2 + da3);
-            let sim_a = (sa0 + sa1) + (sa2 + sa3);
-            if dist_a < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist_a;
-            }
-            if sim_a > out.sim {
-                out.sim_idx = i;
-                out.sim = sim_a;
-            }
-            let dist_b = (db0 + db1) + (db2 + db3);
-            let sim_b = (sb0 + sb1) + (sb2 + sb3);
-            if dist_b < out.dist_score {
-                out.dist_idx = i + 1;
-                out.dist_score = dist_b;
-            }
-            if sim_b > out.sim {
-                out.sim_idx = i + 1;
-                out.sim = sim_b;
+            for (r, ((d, s), c)) in dl.into_iter().zip(sl).zip(cl).enumerate() {
+                out.offer::<SCORE>(i + r, reduce4(d), reduce4(s), reduce4(c));
             }
             i += 2;
         }
         if i < len {
             let row = &centroids[i * dims..i * dims + dims];
             let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused_avx2(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
+            let (dist, sim, corr) = row_fused_avx2::<SCORE>(row, erow, x, errs, inv);
+            out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
     }
@@ -1099,7 +1225,7 @@ mod neon {
         vaddq_f64, vdupq_n_f64, vld1q_f64, vmaxnmq_f64, vmulq_f64, vst1q_f64, vsubq_f64,
     };
 
-    use super::FusedBest;
+    use super::{fused_elem, reduce4, Sweep};
 
     // SAFETY: NEON is mandatory on aarch64; the dispatch arms calling
     // into this module only compile for aarch64 targets.
@@ -1159,13 +1285,13 @@ mod neon {
 
     // SAFETY: caller must be on aarch64 (NEON is baseline there).
     #[target_feature(enable = "neon")]
-    unsafe fn row_fused_neon(
+    unsafe fn row_fused_neon<const SCORE: bool>(
         c: &[f64],
         e: &[f64],
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> (f64, f64) {
+    ) -> (f64, f64, f64) {
         let d = x.len();
         let chunks = d / 4;
         let zero = vdupq_n_f64(0.0);
@@ -1174,6 +1300,8 @@ mod neon {
         let mut dhi = zero;
         let mut slo = zero;
         let mut shi = zero;
+        let mut clo = zero;
+        let mut chi = zero;
         for i in 0..chunks {
             let j = 4 * i;
             for half in 0..2 {
@@ -1185,39 +1313,52 @@ mod neon {
                 let ve = vld1q_f64(e.as_ptr().add(o));
                 let vinv = vld1q_f64(inv.as_ptr().add(o));
                 let diff = vsubq_f64(vx, vc);
-                let vj = vaddq_f64(vaddq_f64(vmulq_f64(diff, diff), vmulq_f64(verr, verr)), ve);
+                let ff = vmulq_f64(diff, diff);
+                let pe = vmulq_f64(verr, verr);
+                let vj = vaddq_f64(vaddq_f64(ff, pe), ve);
                 // vmaxnmq (IEEE maxNum) clamps NaN credits to 0 like
                 // `f64::max`; vmaxq would propagate the NaN instead.
                 let credit = vmaxnmq_f64(vsubq_f64(ones, vmulq_f64(vj, vinv)), zero);
+                let corr = if SCORE {
+                    let t = vsubq_f64(vsubq_f64(ff, pe), ve);
+                    vaddq_f64(vmaxnmq_f64(t, zero), vmulq_f64(t, zero))
+                } else {
+                    zero
+                };
                 if half == 0 {
                     dlo = vaddq_f64(dlo, vj);
                     slo = vaddq_f64(slo, credit);
+                    clo = vaddq_f64(clo, corr);
                 } else {
                     dhi = vaddq_f64(dhi, vj);
                     shi = vaddq_f64(shi, credit);
+                    chi = vaddq_f64(chi, corr);
                 }
             }
         }
         let mut dl = [0.0f64; 4];
         let mut sl = [0.0f64; 4];
+        let mut cl = [0.0f64; 4];
         vst1q_f64(dl.as_mut_ptr(), dlo);
         vst1q_f64(dl.as_mut_ptr().add(2), dhi);
         vst1q_f64(sl.as_mut_ptr(), slo);
         vst1q_f64(sl.as_mut_ptr().add(2), shi);
+        vst1q_f64(cl.as_mut_ptr(), clo);
+        vst1q_f64(cl.as_mut_ptr().add(2), chi);
         for j in 4 * chunks..d {
-            let f = x[j] - c[j];
-            let v = (f * f + errs[j] * errs[j]) + e[j];
+            let (v, credit, corr) = fused_elem::<SCORE>(x[j], c[j], errs[j], e[j], inv[j]);
             dl[j % 4] += v;
-            sl[j % 4] += (1.0 - v * inv[j]).max(0.0);
+            sl[j % 4] += credit;
+            if SCORE {
+                cl[j % 4] += corr;
+            }
         }
-        let [d0, d1, d2, d3] = dl;
-        let [s0, s1, s2, s3] = sl;
-        ((d0 + d1) + (d2 + d3), (s0 + s1) + (s2 + s3))
+        (reduce4(dl), reduce4(sl), reduce4(cl))
     }
 
     // SAFETY: caller must be on aarch64 (NEON is baseline there).
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn rank_fused_neon(
+    pub(super) unsafe fn rank_fused_neon<const SCORE: bool>(
         centroids: &[f64],
         noise: &[f64],
         rows: usize,
@@ -1225,20 +1366,13 @@ mod neon {
         x: &[f64],
         errs: &[f64],
         inv: &[f64],
-    ) -> FusedBest {
-        let mut out = FusedBest::empty();
+    ) -> Sweep {
+        let mut out = Sweep::new();
         for i in 0..rows {
             let row = &centroids[i * dims..i * dims + dims];
             let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused_neon(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
+            let (dist, sim, corr) = row_fused_neon::<SCORE>(row, erow, x, errs, inv);
+            out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
     }
@@ -1326,7 +1460,9 @@ mod tests {
     #[test]
     fn rank_fused_bitwise_parity_across_backends() {
         let mut st = 0xabcd_u64;
-        for dims in [1usize, 3, 4, 5, 7, 8, 9, 20] {
+        // Every tail length 0–3 many times over, and odd row counts for
+        // the AVX-512 pairing's leftover row.
+        for dims in 1usize..=37 {
             for rows in [0usize, 1, 2, 3, 7, 25] {
                 let centroids = vec_of(rows * dims, &mut st);
                 let noise: Vec<f64> = vec_of(rows * dims, &mut st)
@@ -1345,23 +1481,44 @@ mod tests {
                         }
                     })
                     .collect();
-                let w = rank_fused_with(Backend::Scalar, &centroids, &noise, dims, &x, &errs, &inv);
+                let bits = |b: FusedBest| {
+                    (
+                        b.dist_idx,
+                        b.dist_score.to_bits(),
+                        b.sim_idx,
+                        b.sim.to_bits(),
+                    )
+                };
+                let want = bits(rank_fused_with(
+                    Backend::Scalar,
+                    &centroids,
+                    &noise,
+                    dims,
+                    &x,
+                    &errs,
+                    &inv,
+                ));
+                let (_, want_corr) = rank_fused_scored_with(
+                    Backend::Scalar,
+                    &centroids,
+                    &noise,
+                    dims,
+                    &x,
+                    &errs,
+                    &inv,
+                );
                 for be in usable() {
                     let g = rank_fused_with(be, &centroids, &noise, dims, &x, &errs, &inv);
+                    assert_eq!(bits(g), want, "{be:?} d{dims} r{rows}");
+                    // Scoring adds the third output and leaves the
+                    // rankings bit for bit as they were.
+                    let (gs, corr) =
+                        rank_fused_scored_with(be, &centroids, &noise, dims, &x, &errs, &inv);
+                    assert_eq!(bits(gs), want, "{be:?} d{dims} r{rows} scored");
                     assert_eq!(
-                        (
-                            g.dist_idx,
-                            g.dist_score.to_bits(),
-                            g.sim_idx,
-                            g.sim.to_bits()
-                        ),
-                        (
-                            w.dist_idx,
-                            w.dist_score.to_bits(),
-                            w.sim_idx,
-                            w.sim.to_bits()
-                        ),
-                        "{be:?} d{dims} r{rows}"
+                        corr.to_bits(),
+                        want_corr.to_bits(),
+                        "{be:?} d{dims} r{rows} corr"
                     );
                 }
             }
@@ -1386,6 +1543,39 @@ mod tests {
         for be in usable() {
             let (i, s) = rank_min_score_with(be, &centroids, &sm_nan, dims, &x);
             assert_eq!((i, s), (0, f64::INFINITY), "{be:?} all-NaN sentinel");
+        }
+
+        // Corrected terms: x = 0 and ψ = 1 everywhere, so a centroid at
+        // the origin scores Σ max(0, −1 − e) = 0 — poisoned rows would
+        // beat the honest row 0 (99 per dimension) if their NaN or ±∞
+        // term clamped to zero like an ordinary negative one. Five rows
+        // leave AVX-512 an odd row to take through the AVX2 helper.
+        let mut centroids = vec![0.0; 5 * dims];
+        let mut noise = vec![0.0; 5 * dims];
+        centroids[..dims].fill(10.0);
+        noise[dims] = f64::NAN; // row 1: NaN term
+        noise[2 * dims + 3] = f64::INFINITY; // row 2: −∞ term
+        centroids[3 * dims + 4] = 1e200; // row 3: (x − c)² overflows to +∞
+        centroids[4 * dims + 1] = f64::NAN; // row 4: NaN term again
+        let x = vec![0.0; dims];
+        let errs = vec![1.0; dims];
+        let inv = vec![1.0; dims];
+        for be in usable() {
+            let (_, corr) = rank_fused_scored_with(be, &centroids, &noise, dims, &x, &errs, &inv);
+            assert_eq!(corr, 99.0 * dims as f64, "{be:?} poisoned row won");
+        }
+        // A poisoned point poisons every row: nothing is finite.
+        let clean_noise = vec![0.0; 5 * dims];
+        for (xj, ej) in [(f64::NAN, 1.0), (f64::INFINITY, 1.0), (0.0, f64::INFINITY)] {
+            let mut x = vec![0.0; dims];
+            let mut errs = vec![1.0; dims];
+            x[2] = xj;
+            errs[2] = ej;
+            for be in usable() {
+                let (_, corr) =
+                    rank_fused_scored_with(be, &centroids, &clean_noise, dims, &x, &errs, &inv);
+                assert_eq!(corr, f64::INFINITY, "{be:?} x={xj} ψ={ej}");
+            }
         }
     }
 

@@ -16,7 +16,6 @@
 
 use crate::algorithm::{InsertOutcome, UMicro};
 use crate::decayed::DecayedUMicro;
-use crate::distance::corrected_sq_distance;
 use crate::macrocluster::MacroClustering;
 use crate::state::ClustererState;
 use ustream_common::{AdditiveFeature, Timestamp, UStreamError, UncertainPoint};
@@ -67,11 +66,40 @@ pub trait OnlineClusterer: Send {
     /// Distance from `point` to the nearest micro-cluster, in the
     /// algorithm's own geometry (error-corrected for UMicro, Euclidean for
     /// CluStream). `None` while no clusters exist — the caller cannot judge
-    /// isolation against an empty model.
+    /// isolation against an empty model — and for a point that is no
+    /// finite distance from any cluster (a NaN or ±∞ coordinate).
     ///
     /// This powers novelty detection: the engine compares the pre-insertion
-    /// isolation of each arrival against a running baseline.
+    /// isolation of each arrival against a running baseline. UMicro and
+    /// CluStream answer with one sweep of their cluster kernel when it is
+    /// live, and fall back to a per-summary loop otherwise.
     fn isolation(&self, point: &UncertainPoint) -> Option<f64>;
+
+    /// Processes a mini-batch like [`insert_batch`], appending one
+    /// `(outcome, isolation)` pair per point to `out`, where `isolation`
+    /// is the point's [`isolation`] against the cluster set it met — the
+    /// state just before its own insertion.
+    ///
+    /// The default calls [`isolation`] then [`insert`] per point, so any
+    /// implementation (and any wrapper that overrides only those two)
+    /// stays correct. UMicro overrides it to read the isolation out of
+    /// the same kernel sweep that ranks the point. The sharded engine
+    /// routes every record through this when novelty detection is on.
+    ///
+    /// [`insert_batch`]: OnlineClusterer::insert_batch
+    /// [`isolation`]: OnlineClusterer::isolation
+    /// [`insert`]: OnlineClusterer::insert
+    fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        out.reserve(points.len());
+        for p in points {
+            let isolation = self.isolation(p);
+            out.push((self.insert(p), isolation));
+        }
+    }
 
     /// Snapshot of the current micro-cluster set with statistics brought
     /// current to tick `now`, keyed by stable id, for the pyramidal store.
@@ -120,19 +148,6 @@ pub trait OnlineClusterer: Send {
     }
 }
 
-/// Error-corrected distance from `point` to the nearest of `clusters`,
-/// shared by both UMicro variants.
-fn min_corrected_distance<'a>(
-    point: &UncertainPoint,
-    ecfs: impl Iterator<Item = &'a crate::ecf::Ecf>,
-) -> Option<f64> {
-    let mut best = f64::INFINITY;
-    for ecf in ecfs {
-        best = best.min(corrected_sq_distance(point, ecf));
-    }
-    best.is_finite().then(|| best.sqrt())
-}
-
 impl OnlineClusterer for UMicro {
     type Summary = crate::ecf::Ecf;
 
@@ -142,6 +157,14 @@ impl OnlineClusterer for UMicro {
 
     fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
         UMicro::insert_batch(self, points, out)
+    }
+
+    fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        UMicro::insert_batch_scored(self, points, out)
     }
 
     fn micro_clusters(&self) -> Vec<(u64, Self::Summary)> {
@@ -160,7 +183,7 @@ impl OnlineClusterer for UMicro {
     }
 
     fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
-        min_corrected_distance(point, UMicro::micro_clusters(self).iter().map(|c| &c.ecf))
+        self.corrected_isolation(point)
     }
 
     fn snapshot_at(&mut self, now: Timestamp) -> ClusterSetSnapshot<Self::Summary> {
@@ -191,6 +214,14 @@ impl OnlineClusterer for DecayedUMicro {
         DecayedUMicro::insert_batch(self, points, out)
     }
 
+    fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        DecayedUMicro::insert_batch_scored(self, points, out)
+    }
+
     fn micro_clusters(&self) -> Vec<(u64, Self::Summary)> {
         DecayedUMicro::micro_clusters(self)
             .iter()
@@ -207,10 +238,7 @@ impl OnlineClusterer for DecayedUMicro {
     }
 
     fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
-        min_corrected_distance(
-            point,
-            DecayedUMicro::micro_clusters(self).iter().map(|c| &c.ecf),
-        )
+        self.corrected_isolation(point)
     }
 
     fn snapshot_at(&mut self, now: Timestamp) -> ClusterSetSnapshot<Self::Summary> {
@@ -239,6 +267,14 @@ impl<T: OnlineClusterer + ?Sized> OnlineClusterer for Box<T> {
 
     fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
         (**self).insert_batch(points, out)
+    }
+
+    fn insert_batch_scored(
+        &mut self,
+        points: &[UncertainPoint],
+        out: &mut Vec<(InsertOutcome, Option<f64>)>,
+    ) {
+        (**self).insert_batch_scored(points, out)
     }
 
     fn micro_clusters(&self) -> Vec<(u64, Self::Summary)> {

@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 use umicro::macrocluster::macro_cluster_ecfs;
 use umicro::{
     compare_windows, ClustererState, DecayedUMicro, Ecf, EvolutionReport, HorizonAnalyzer,
-    MacroClustering, MicroCluster, OnlineClusterer, QueryStats, UMicro,
+    InsertOutcome, MacroClustering, MicroCluster, OnlineClusterer, QueryStats, UMicro,
 };
 use ustream_common::{P2Quantile, Result, UStreamError, UncertainPoint};
 use ustream_snapshot::{
@@ -154,6 +154,22 @@ impl NoveltyMonitor {
             q.observe(isolation);
         }
     }
+
+    /// Judges one record's pre-insertion isolation: returns the baseline
+    /// it exceeded when the record is novel, and otherwise folds it into
+    /// the baseline — only non-alerting records do, so a burst of
+    /// outliers cannot talk the monitor into accepting them.
+    fn judge(&mut self, isolation: f64) -> Option<f64> {
+        let factor = self.factor?;
+        let baseline = self.baseline_estimate();
+        // Warm-up: need a stable baseline before alerting.
+        if self.samples >= 100 && isolation > factor * baseline.max(1e-12) {
+            Some(baseline)
+        } else {
+            self.observe_ordinary(isolation);
+            None
+        }
+    }
 }
 
 /// State a shard worker mutates under its own lock.
@@ -162,6 +178,71 @@ struct ShardState {
     created: u64,
     evicted: u64,
     novelty: NoveltyMonitor,
+    /// Reused per-chunk outcome buffers (novelty off / on).
+    outcomes: Vec<InsertOutcome>,
+    scored: Vec<(InsertOutcome, Option<f64>)>,
+}
+
+impl ShardState {
+    fn new(alg: DynClusterer, config: &EngineConfig) -> Self {
+        Self {
+            alg,
+            created: 0,
+            evicted: 0,
+            novelty: NoveltyMonitor::new(config),
+            outcomes: Vec::new(),
+            scored: Vec::new(),
+        }
+    }
+
+    /// Clusters `chunk`, whose first record has global ordinal
+    /// `first_position`, and appends an alert for every record the
+    /// novelty monitor flags to `alerts`. With novelty on, one scored
+    /// batch insert yields each record's pre-insertion isolation beside
+    /// its outcome; with it off, a plain batch insert.
+    fn cluster_chunk(
+        &mut self,
+        shard_idx: usize,
+        chunk: &[UncertainPoint],
+        first_position: u64,
+        alerts: &mut Vec<NoveltyAlert>,
+    ) {
+        let Self {
+            alg,
+            created,
+            evicted,
+            novelty,
+            outcomes,
+            scored,
+        } = self;
+        let mut tally = |out: &InsertOutcome| {
+            *created += u64::from(out.created);
+            *evicted += u64::from(out.evicted.is_some());
+        };
+        if novelty.factor.is_none() {
+            outcomes.clear();
+            alg.insert_batch(chunk, outcomes);
+            outcomes.iter().for_each(tally);
+            return;
+        }
+        scored.clear();
+        alg.insert_batch_scored(chunk, scored);
+        for (position, ((out, isolation), p)) in (first_position..).zip(scored.iter().zip(chunk)) {
+            tally(out);
+            let Some(isolation) = *isolation else {
+                continue;
+            };
+            if let Some(baseline) = novelty.judge(isolation) {
+                alerts.push(NoveltyAlert {
+                    timestamp: p.timestamp(),
+                    position,
+                    isolation,
+                    baseline,
+                    cluster_id: namespaced_id(shard_idx, out.cluster_id),
+                });
+            }
+        }
+    }
 }
 
 /// Lock-free per-shard instrumentation, readable from any thread.
@@ -291,81 +372,14 @@ impl Global {
     }
 }
 
-/// Clusters one record under an already-held shard lock, maintaining the
-/// shard's creation/eviction tallies and novelty monitor. `position` is the
-/// record's global ordinal (used in alert records).
-fn cluster_one(
-    global: &Global,
-    shard: &ShardHandle,
-    shard_idx: usize,
-    st: &mut ShardState,
-    p: &UncertainPoint,
-    position: u64,
-) {
-    // Novelty check before insertion (the cluster set the record met),
-    // in the clusterer's own geometry.
-    let isolation = match st.novelty.factor {
-        Some(_) => st.alg.isolation(p),
-        None => None,
-    };
-
-    let out = st.alg.insert(p);
-    if out.created {
-        st.created += 1;
-    }
-    if out.evicted.is_some() {
-        st.evicted += 1;
-    }
-
-    if let (Some(factor), Some(isolation)) = (st.novelty.factor, isolation) {
-        let baseline = st.novelty.baseline_estimate();
-        // Warm-up: need a stable baseline before alerting.
-        if st.novelty.samples >= 100 && isolation > factor * baseline.max(1e-12) {
-            shard.counters.alerts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
-            global.alerts_raised.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
-            let mut alerts = global.alerts.lock();
-            alerts.push_back(NoveltyAlert {
-                timestamp: p.timestamp(),
-                position,
-                isolation,
-                baseline,
-                cluster_id: namespaced_id(shard_idx, out.cluster_id),
-            });
-            while alerts.len() > global.config.max_alerts {
-                alerts.pop_front();
-            }
-        } else {
-            // Only non-alerting records update the baseline, so a burst
-            // of outliers cannot talk the monitor into accepting them.
-            st.novelty.observe_ordinary(isolation);
-        }
-    }
-}
-
-/// Clusters one record on its shard; returns `true` when this record
-/// crossed a merge boundary (the caller then runs the merge with no shard
-/// lock held).
-fn ingest(global: &Global, shard: &ShardHandle, shard_idx: usize, p: &UncertainPoint) -> bool {
-    let position = global.processed.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
-    global.last_tick.fetch_max(p.timestamp(), Ordering::Relaxed); // relaxed-ok: monotone watermark; readers tolerate a lagging value
-
-    {
-        let mut st = shard.state.lock();
-        cluster_one(global, shard, shard_idx, &mut st, p, position);
-    }
-
-    shard.counters.processed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
-                                                              // relaxed-ok: merge-cadence knob; a worker may pick up the new cadence one record late
-    position.is_multiple_of(global.merge_every_effective.load(Ordering::Relaxed).max(1))
-}
-
-/// Clusters a routed batch in sub-chunks: one global-ordinal reservation,
-/// one shard-lock acquisition and — when novelty detection is off — one
-/// [`OnlineClusterer::insert_batch`] call per sub-chunk, instead of one of
-/// each per point. Sub-chunks are capped at `snapshot_every` records so the
-/// merge cadence stays within one chunk of the per-point path; any merge
-/// boundary the chunk crosses triggers [`merge_and_record`] after the shard
-/// lock is released.
+/// Clusters a routed batch — a lone record is a batch of one — in
+/// sub-chunks: one global-ordinal reservation, one shard-lock acquisition
+/// and one batch insert per sub-chunk (scored when novelty detection is
+/// on, see [`ShardState::cluster_chunk`]). Sub-chunks are capped at
+/// `snapshot_every` records so the merge cadence stays within one chunk
+/// of a record-at-a-time loop. A chunk's novelty alerts are queued after
+/// the shard lock is released, and any merge boundary the chunk crosses
+/// triggers [`merge_and_record`] then too.
 fn ingest_batch(
     global: &Global,
     shard: &ShardHandle,
@@ -374,7 +388,7 @@ fn ingest_batch(
     all_shards: &[Arc<ShardHandle>],
 ) {
     let cap = global.config.snapshot_every.clamp(1, 4_096) as usize;
-    let mut outcomes = Vec::with_capacity(cap);
+    let mut alerts = Vec::new();
     for chunk in points.chunks(cap) {
         let len = chunk.len() as u64;
         let start = global.processed.fetch_add(len, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
@@ -385,25 +399,17 @@ fn ingest_batch(
 
         {
             let mut st = shard.state.lock();
-            if st.novelty.factor.is_some() {
-                // Novelty needs the pre-insertion isolation of every record,
-                // so the chunk still walks point by point — but under a
-                // single lock acquisition.
-                for (i, p) in chunk.iter().enumerate() {
-                    cluster_one(global, shard, shard_idx, &mut st, p, start + i as u64 + 1);
-                }
-            } else {
-                outcomes.clear();
-                st.alg.insert_batch(chunk, &mut outcomes);
-                for out in &outcomes {
-                    if out.created {
-                        st.created += 1;
-                    }
-                    if out.evicted.is_some() {
-                        st.evicted += 1;
-                    }
-                }
+            st.cluster_chunk(shard_idx, chunk, start + 1, &mut alerts);
+            // Counted with the records that raised them, so a checkpoint
+            // taken under this lock sees both or neither.
+            if !alerts.is_empty() {
+                let n = alerts.len() as u64;
+                shard.counters.alerts.fetch_add(n, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
+                global.alerts_raised.fetch_add(n, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
             }
+        }
+        if !alerts.is_empty() {
+            queue_alerts(global, &mut alerts);
         }
 
         shard.counters.processed.fetch_add(len, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing
@@ -412,6 +418,15 @@ fn ingest_batch(
             merge_and_record(global, all_shards);
         }
     }
+}
+
+/// Moves a chunk's alerts into the bounded global queue in one
+/// alerts-lock acquisition (the oldest fall off past `max_alerts`).
+fn queue_alerts(global: &Global, alerts: &mut Vec<NoveltyAlert>) {
+    let mut queue = global.alerts.lock();
+    queue.extend(alerts.drain(..));
+    let excess = queue.len().saturating_sub(global.config.max_alerts);
+    queue.drain(..excess);
 }
 
 /// Folds every shard's cluster set into one namespaced global snapshot,
@@ -536,9 +551,7 @@ fn drain_commands(
             Command::Point(p) => {
                 #[cfg(feature = "failpoints")]
                 fire_worker_failpoints();
-                if ingest(global, own, idx, &p) {
-                    merge_and_record(global, all_shards);
-                }
+                ingest_batch(global, own, idx, std::slice::from_ref(&*p), all_shards);
                 maybe_auto_checkpoint(global, all_shards);
             }
             Command::Batch(points) => {
@@ -985,12 +998,7 @@ impl StreamEngine {
         let shards: Vec<Arc<ShardHandle>> = (0..n_shards)
             .map(|i| {
                 Arc::new(ShardHandle {
-                    state: Mutex::new(ShardState {
-                        alg: (global.factory)(i),
-                        created: 0,
-                        evicted: 0,
-                        novelty: NoveltyMonitor::new(&global.config),
-                    }),
+                    state: Mutex::new(ShardState::new((global.factory)(i), &global.config)),
                     counters: ShardCounters::default(),
                     restarts: AtomicU64::new(0),
                     last_panic: Mutex::new(None),
@@ -2617,6 +2625,144 @@ mod tests {
             other => panic!("stale timestamp should be rejected, got {other:?}"),
         }
         e.shutdown();
+    }
+
+    // ---- novelty parity ---------------------------------------------------
+
+    /// Forces the scalar reference isolation — the minimum over clusters
+    /// of `corrected_sq_distance`, square-rooted — and leaves the scored
+    /// batch insert to the trait default (isolation, then insert).
+    struct ScalarIsolation {
+        inner: UMicro,
+    }
+
+    impl OnlineClusterer for ScalarIsolation {
+        type Summary = Ecf;
+
+        fn insert(&mut self, p: &UncertainPoint) -> InsertOutcome {
+            self.inner.insert(p)
+        }
+
+        fn micro_clusters(&self) -> Vec<(u64, Ecf)> {
+            OnlineClusterer::micro_clusters(&self.inner)
+        }
+
+        fn num_clusters(&self) -> usize {
+            self.inner.num_clusters()
+        }
+
+        fn points_processed(&self) -> u64 {
+            self.inner.points_processed()
+        }
+
+        fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
+            let best = self
+                .inner
+                .micro_clusters()
+                .iter()
+                .map(|c| umicro::distance::corrected_sq_distance(point, &c.ecf))
+                .fold(f64::INFINITY, f64::min);
+            best.is_finite().then(|| best.sqrt())
+        }
+
+        fn snapshot_at(&mut self, now: Timestamp) -> ClusterSetSnapshot<Ecf> {
+            self.inner.snapshot_at(now)
+        }
+
+        fn macro_cluster(&mut self, k: usize, seed: u64) -> MacroClustering {
+            self.inner.macro_cluster(k, seed)
+        }
+    }
+
+    /// A seeded d=32 stream around four centres; every 97th record is an
+    /// outlier, each farther out than the last.
+    fn novelty_stream(len: u64) -> Vec<UncertainPoint> {
+        let mut state = 0x5eed_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (1..=len)
+            .map(|t| {
+                let centre = if t % 97 == 0 {
+                    300.0 * (t / 97) as f64
+                } else {
+                    (t % 4) as f64 * 10.0
+                };
+                let values = (0..32).map(|_| centre + unit() - 0.5).collect();
+                let errors = (0..32).map(|_| 0.1 + 0.2 * unit()).collect();
+                UncertainPoint::new(values, errors, t, None)
+            })
+            .collect()
+    }
+
+    fn drain_novelty(e: StreamEngine) -> Vec<NoveltyAlert> {
+        e.flush();
+        let alerts = e.drain_alerts();
+        e.shutdown();
+        alerts
+    }
+
+    /// Point-at-a-time and sliced ingestion raise the same alerts, and so
+    /// does an engine scoring every record with the scalar reference.
+    #[test]
+    fn novelty_alerts_match_across_paths_and_reference() {
+        let stream = novelty_stream(3_000);
+        // One shard: alerts from several shards interleave by timing.
+        let config = EngineConfig::new(UMicroConfig::new(40, 32).unwrap())
+            .with_shards(1)
+            .with_novelty_factor(Some(4.0))
+            .with_snapshot_every(256);
+        let engine = || EngineBuilder::from_config(config.clone()).build().unwrap();
+
+        let pushed = engine();
+        for p in &stream {
+            pushed.push(p.clone()).unwrap();
+        }
+        let pushed = drain_novelty(pushed);
+
+        let sliced = engine();
+        for part in stream.chunks(300) {
+            sliced.push_slice(part).unwrap();
+        }
+        let sliced = drain_novelty(sliced);
+
+        let shard_cfg = config.umicro.clone();
+        let reference = EngineBuilder::from_config(config.clone())
+            .build_with(move |_i| {
+                Box::new(ScalarIsolation {
+                    inner: UMicro::new(shard_cfg.clone()),
+                }) as DynClusterer
+            })
+            .unwrap();
+        reference.push_slice(&stream).unwrap();
+        let reference = drain_novelty(reference);
+
+        assert!(
+            pushed.len() >= 20,
+            "the injected outliers should alert: {}",
+            pushed.len()
+        );
+        for (name, got) in [("push_slice", &sliced), ("scalar reference", &reference)] {
+            assert_eq!(got.len(), pushed.len(), "{name}: alert count");
+            for (a, b) in pushed.iter().zip(got) {
+                assert_eq!(
+                    (a.position, a.cluster_id),
+                    (b.position, b.cluster_id),
+                    "{name}"
+                );
+                assert!(
+                    (a.isolation - b.isolation).abs() <= 1e-12 * a.isolation.max(b.isolation),
+                    "{name}: isolation {} vs {}",
+                    a.isolation,
+                    b.isolation
+                );
+            }
+        }
     }
 
     // ---- supervision -----------------------------------------------------

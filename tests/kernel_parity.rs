@@ -3,14 +3,15 @@
 //! as the scalar `expected_sq_distance` path, within 1e-9 relative, across
 //! random streams for UMicro, DecayedUMicro and CluStream — including after
 //! budget-driven merges and retirements and after decay synchronisation
-//! marks the kernel stale.
+//! marks the kernel stale. Novelty isolation read off the kernel sweep must
+//! match the scalar `corrected_sq_distance` reference within 1e-12.
 
 use clustream::{CluStream, CluStreamConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use umicro::distance::expected_sq_distance;
+use umicro::distance::{corrected_sq_distance, expected_sq_distance};
 use umicro::kernel::simd::{self, Backend};
-use umicro::{DecayedUMicro, UMicro, UMicroConfig};
+use umicro::{DecayedUMicro, Ecf, OnlineClusterer, UMicro, UMicroConfig};
 use ustream_common::UncertainPoint;
 
 const DIMS: usize = 3;
@@ -64,6 +65,76 @@ fn unit(state: &mut u64) -> f64 {
 
 fn fill(state: &mut u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..n).map(|_| lo + (hi - lo) * unit(state)).collect()
+}
+
+/// Relative tolerance between kernel and scalar isolation.
+const ISO_REL_TOL: f64 = 1e-12;
+
+/// A seeded stream at `dims`: three well-separated blobs (so points both
+/// absorb and seed), errors in `[0, 3)`, and every few records poisoned
+/// with a NaN or ±∞ coordinate (`UncertainPoint` refuses non-finite
+/// errors at construction).
+fn seeded_stream(dims: usize, len: usize, seed: u64) -> Vec<UncertainPoint> {
+    let mut s = seed;
+    (0..len)
+        .map(|i| {
+            let centre = (i % 3) as f64 * 40.0 - 40.0;
+            let mut values: Vec<f64> = fill(&mut s, dims, centre - 3.0, centre + 3.0);
+            let errors = fill(&mut s, dims, 0.0, 3.0);
+            match i % 13 {
+                5 => values[0] = f64::NAN,
+                8 => values[dims - 1] = f64::NEG_INFINITY,
+                11 => values[dims / 2] = f64::INFINITY,
+                _ => {}
+            }
+            UncertainPoint::new(values, errors, i as u64 + 1, None)
+        })
+        .collect()
+}
+
+/// The scalar isolation reference: `√ minᵢ corrected_sq_distance`, `None`
+/// when no cluster is a finite distance away.
+fn reference_isolation(point: &UncertainPoint, clusters: &[(u64, Ecf)]) -> Option<f64> {
+    let best = clusters
+        .iter()
+        .map(|(_, ecf)| corrected_sq_distance(point, ecf))
+        .fold(f64::INFINITY, f64::min);
+    best.is_finite().then(|| best.sqrt())
+}
+
+fn assert_isolation_close(got: Option<f64>, want: Option<f64>, what: &str) {
+    match (got, want) {
+        (None, None) => {}
+        (Some(a), Some(b)) => assert!(
+            (a - b).abs() <= ISO_REL_TOL * a.abs().max(b.abs()),
+            "{what}: kernel {a} vs scalar {b}"
+        ),
+        _ => panic!("{what}: kernel {got:?} vs scalar {want:?}"),
+    }
+}
+
+/// Feeds `stream` to `scored` through `insert_batch_scored` in `chunk`-
+/// sized batches and to `looped` through `isolation` + `insert` per
+/// point; both isolations must match the scalar reference taken over
+/// `looped`'s clusters before each insert, and the outcomes must agree.
+fn check_scored_isolation<A: OnlineClusterer<Summary = Ecf>>(
+    mut scored: A,
+    mut looped: A,
+    stream: &[UncertainPoint],
+    chunk: usize,
+) {
+    let mut got = Vec::new();
+    for part in stream.chunks(chunk) {
+        scored.insert_batch_scored(part, &mut got);
+    }
+    assert_eq!(got.len(), stream.len());
+    for (i, (p, (scored_out, scored_iso))) in stream.iter().zip(&got).enumerate() {
+        let want = reference_isolation(p, &looped.micro_clusters());
+        assert_isolation_close(looped.isolation(p), want, &format!("isolation #{i}"));
+        assert_isolation_close(*scored_iso, want, &format!("scored isolation #{i}"));
+        let out = looped.insert(p);
+        assert_eq!(*scored_out, out, "outcome #{i}");
+    }
 }
 
 proptest! {
@@ -250,6 +321,8 @@ proptest! {
         let want_min = simd::rank_min_score_with(Backend::Scalar, &centroids, &sm, dims, &x);
         let want_fused =
             simd::rank_fused_with(Backend::Scalar, &centroids, &noise, dims, &x, &errs, &inv);
+        let (_, want_corrected) = simd::rank_fused_scored_with(
+            Backend::Scalar, &centroids, &noise, dims, &x, &errs, &inv);
         for backend in compiled_available() {
             let got = simd::rank_min_score_with(backend, &centroids, &sm, dims, &x);
             prop_assert_eq!(got.0, want_min.0, "rank_min idx on {}", backend.name());
@@ -263,6 +336,12 @@ proptest! {
             prop_assert_eq!(gf.sim_idx, want_fused.sim_idx, "sim idx on {}", backend.name());
             prop_assert_eq!(gf.sim.to_bits(), want_fused.sim.to_bits(),
                 "sim on {}", backend.name());
+            let (gs, corrected) =
+                simd::rank_fused_scored_with(backend, &centroids, &noise, dims, &x, &errs, &inv);
+            prop_assert_eq!((gs.dist_idx, gs.sim_idx), (gf.dist_idx, gf.sim_idx),
+                "scored rankings on {}", backend.name());
+            prop_assert_eq!(corrected.to_bits(), want_corrected.to_bits(),
+                "corrected on {}", backend.name());
         }
     }
 
@@ -290,6 +369,8 @@ proptest! {
         prop_assert!(rows < 2 || want.0 != poison || want.1.is_finite());
         let want_fused =
             simd::rank_fused_with(Backend::Scalar, &centroids, &noise, dims, &x, &errs, &inv);
+        let (_, want_corrected) = simd::rank_fused_scored_with(
+            Backend::Scalar, &centroids, &noise, dims, &x, &errs, &inv);
         for backend in compiled_available() {
             let got = simd::rank_min_score_with(backend, &centroids, &sm, dims, &x);
             prop_assert_eq!(got.0, want.0, "rank_min idx on {}", backend.name());
@@ -299,6 +380,52 @@ proptest! {
                 simd::rank_fused_with(backend, &centroids, &noise, dims, &x, &errs, &inv);
             prop_assert_eq!(gf.dist_idx, want_fused.dist_idx, "dist idx on {}", backend.name());
             prop_assert_eq!(gf.sim_idx, want_fused.sim_idx, "sim idx on {}", backend.name());
+            let (_, corrected) =
+                simd::rank_fused_scored_with(backend, &centroids, &noise, dims, &x, &errs, &inv);
+            prop_assert_eq!(corrected.to_bits(), want_corrected.to_bits(),
+                "corrected on {}", backend.name());
+        }
+        // The poisoned row's corrected distance is NaN, so the minimum is
+        // the best finite row's.
+        let finite_best = (0..rows)
+            .filter(|&i| i != poison)
+            .map(|i| {
+                let one = |v: &[f64]| v[i * dims..(i + 1) * dims].to_vec();
+                simd::rank_fused_scored_with(Backend::Scalar, &one(&centroids), &one(&noise),
+                    dims, &x, &errs, &inv).1
+            })
+            .fold(f64::INFINITY, f64::min);
+        prop_assert_eq!(want_corrected.to_bits(), finite_best.to_bits());
+    }
+
+    /// `isolation` and the scored batch insert agree with the scalar
+    /// reference (min over clusters of `corrected_sq_distance`, then
+    /// square-rooted) on UMicro and DecayedUMicro, in both similarity
+    /// modes, during bootstrap and after, poisoned records included — and
+    /// the scored outcomes equal a plain insert loop's.
+    #[test]
+    fn isolation_matches_scalar_reference(
+        dims in arb_awkward_dims(),
+        len in 8usize..48,
+        chunk in 1usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let stream = seeded_stream(dims, len, seed);
+        for expected_distance in [false, true] {
+            let mut cfg = UMicroConfig::new(5, dims).unwrap();
+            // Early refreshes: the dimension-counting sweep takes over
+            // from the uninformative-variance fallback mid-stream.
+            cfg.variance_refresh_interval = 6;
+            if expected_distance {
+                cfg = cfg.with_expected_distance();
+            }
+            check_scored_isolation(UMicro::new(cfg.clone()), UMicro::new(cfg.clone()), &stream, chunk);
+            check_scored_isolation(
+                DecayedUMicro::with_half_life(cfg.clone(), 40.0),
+                DecayedUMicro::with_half_life(cfg, 40.0),
+                &stream,
+                chunk,
+            );
         }
     }
 

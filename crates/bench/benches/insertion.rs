@@ -40,18 +40,6 @@ fn bench_insertion(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("umicro_corrected_scalar_path", |b| {
-        b.iter(|| {
-            let mut alg =
-                UMicro::new(UMicroConfig::new(N_MICRO, DIMS).expect("valid UMicro config"));
-            alg.set_kernel_enabled(false);
-            for p in &pts {
-                black_box(alg.insert(p));
-            }
-            alg.micro_clusters().len()
-        })
-    });
-
     group.bench_function("umicro_corrected_batched", |b| {
         b.iter(|| {
             let mut alg =

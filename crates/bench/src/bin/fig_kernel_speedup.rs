@@ -1,12 +1,13 @@
-//! Measures what the SoA distance kernel buys: single-shard insertion
-//! throughput (points/second) with the kernel disabled (scalar per-cluster
-//! distance loops), enabled once per compiled SIMD backend (packed
-//! centroid/noise matrices, runtime-dispatched vector ISA), enabled in
-//! opt-in f32 ranking mode, and enabled with mini-batch insertion, across
-//! dimensionalities and micro-cluster budgets. A second measurement per
-//! sweep point times the per-record novelty isolation (error-corrected
-//! distance to the nearest micro-cluster) against the full model: the
-//! kernel-off scalar per-ECF loop against one kernel sweep.
+//! Measures what the SoA distance kernel's vector backends buy:
+//! single-shard insertion throughput (points/second) once per compiled
+//! SIMD backend (packed centroid/noise matrices, forced vector ISA), on the
+//! auto-dispatched backend, and on the auto-dispatched backend with
+//! mini-batch insertion, across dimensionalities and micro-cluster
+//! budgets. Every speedup is over the forced-scalar backend. A second
+//! measurement per sweep point times the per-record novelty isolation
+//! (error-corrected distance to the nearest micro-cluster) against the
+//! full model: a scalar per-ECF loop over `corrected_sq_distance` against
+//! one kernel sweep.
 //!
 //! ```text
 //! cargo run -p ustream-bench --release --bin fig_kernel_speedup -- \
@@ -15,8 +16,8 @@
 //!
 //! `--strict` exits non-zero when, on any sweep point with `dims >= 8`,
 //! the auto-dispatched SIMD kernel fails to clear 1.5x over the
-//! forced-scalar kernel baseline, or the kernel's isolation fails to
-//! clear 2x over the scalar per-ECF loop — the CI regression gates for
+//! forced-scalar backend, or the kernel's isolation fails to clear 2x
+//! over the scalar per-ECF loop — the CI regression gates for
 //! the vector backends and the fused novelty sweep.
 //! Narrower rows are excluded deliberately: at d=5 a row is one 4-lane
 //! chunk plus a tail element, so per-row vector setup costs as much as
@@ -32,6 +33,7 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
+use umicro::distance::corrected_sq_distance;
 use umicro::kernel::simd::{self, Backend};
 use umicro::{OnlineClusterer, UMicro, UMicroConfig};
 use ustream_bench::Args;
@@ -39,10 +41,10 @@ use ustream_common::UncertainPoint;
 use ustream_synth::{NoisyStream, SynDriftConfig};
 
 /// Mini-batch size for the batched variant — large enough to amortise the
-/// per-call kernel synchronisation check, small enough to stay cache-warm.
+/// per-call overhead, small enough to stay cache-warm.
 const BATCH: usize = 256;
 
-/// SIMD-over-scalar-kernel floor enforced by `--strict`.
+/// SIMD-over-scalar-backend floor enforced by `--strict`.
 const STRICT_FLOOR: f64 = 1.5;
 
 /// Kernel-isolation-over-scalar-loop floor enforced by `--strict`.
@@ -61,7 +63,7 @@ struct BackendRow {
     backend: String,
     /// Insertion throughput with the kernel on this backend.
     kernel_pps: f64,
-    /// Speedup over the kernel-off scalar distance loops.
+    /// Speedup over the forced-scalar backend.
     speedup: f64,
 }
 
@@ -69,21 +71,19 @@ struct BackendRow {
 struct Row {
     dims: usize,
     n_micro: usize,
-    scalar_pps: f64,
     /// One measurement per compiled-and-available SIMD backend.
     backends: Vec<BackendRow>,
     /// Auto-dispatched backend (what production runs).
     kernel_pps: f64,
-    /// Auto-dispatched backend with f32 scan + exact f64 re-check.
-    f32_pps: f64,
+    /// Auto-dispatched backend, `BATCH`-point `insert_batch` calls.
     batched_pps: f64,
-    kernel_speedup: f64,
-    /// Auto-dispatched SIMD kernel over the forced-scalar kernel: the
-    /// pure vector-ISA win, independent of the SoA-layout win.
+    /// Auto-dispatched backend over the forced-scalar backend: the pure
+    /// vector-ISA win.
     simd_speedup: f64,
+    /// Batched over per-point insertion, both auto-dispatched.
     batched_speedup: f64,
-    /// Nanoseconds per isolation call through the kernel-off scalar
-    /// per-ECF loop, against a full `n_micro` model.
+    /// Nanoseconds per isolation through a scalar per-ECF loop over
+    /// `corrected_sq_distance`, against a full `n_micro` model.
     iso_scalar_ns: f64,
     /// Nanoseconds per isolation call through the auto-dispatched
     /// kernel sweep, same model.
@@ -114,19 +114,12 @@ fn config(n_micro: usize, dims: usize) -> UMicroConfig {
     UMicroConfig::new(n_micro, dims).expect("valid config")
 }
 
-/// Best-of-`reps` insertion throughput with `prepare` applied to each
-/// fresh instance before timing starts.
-fn measure(
-    points: &[UncertainPoint],
-    n_micro: usize,
-    dims: usize,
-    reps: usize,
-    prepare: impl Fn(&mut UMicro),
-) -> f64 {
+/// Best-of-`reps` insertion throughput on the currently dispatched
+/// backend.
+fn measure(points: &[UncertainPoint], n_micro: usize, dims: usize, reps: usize) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..reps {
         let mut alg = UMicro::new(config(n_micro, dims));
-        prepare(&mut alg);
         let started = Instant::now();
         for p in points {
             black_box(alg.insert(p));
@@ -149,23 +142,27 @@ fn measure_isolation(
     let mut alg = UMicro::new(config(n_micro, dims));
     alg.insert_batch(points, &mut Vec::new());
     let probes = &points[..points.len().min(ISO_PROBES)];
-    let time = |alg: &UMicro| {
+    let time = |isolation: &dyn Fn(&UncertainPoint) -> Option<f64>| {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let started = Instant::now();
             for p in probes {
-                black_box(alg.isolation(p));
+                black_box(isolation(p));
             }
             let ns = started.elapsed().as_secs_f64() * 1e9 / probes.len().max(1) as f64;
             best = best.min(ns);
         }
         best
     };
-    alg.set_kernel_enabled(false);
-    let scalar = time(&alg);
-    alg.set_kernel_enabled(true);
-    alg.kernel_synced();
-    (scalar, time(&alg))
+    let scalar = time(&|p| {
+        let sq = alg
+            .micro_clusters()
+            .iter()
+            .map(|c| corrected_sq_distance(p, &c.ecf))
+            .fold(f64::INFINITY, f64::min);
+        Some(sq.sqrt())
+    });
+    (scalar, time(&|p| alg.isolation(p)))
 }
 
 fn main() {
@@ -183,14 +180,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut strict_ok = true;
     println!(
-        "{:>5} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
+        "{:>5} {:>8} {:>12} {:>12} {:>8} {:>8} {:>9} {:>9} {:>8}",
         "dims",
         "n_micro",
-        "scalar_pps",
         "kernel_pps",
-        "f32_pps",
         "batched_pps",
-        "k_spd",
         "simd",
         "b_spd",
         "iso_s_ns",
@@ -200,33 +194,28 @@ fn main() {
     for &dims in &dims_sweep {
         let points = stream(dims, len, eta, seed);
         for &n_micro in &micro_sweep {
-            let scalar_pps = measure(&points, n_micro, dims, reps, |alg| {
-                alg.set_kernel_enabled(false);
-            });
-
-            let mut backends = Vec::new();
-            let mut scalar_kernel_pps = f64::NAN;
+            let mut measured = Vec::new();
             for &backend in Backend::compiled() {
-                if !backend.available() {
-                    continue;
+                if backend.available() {
+                    simd::force(Some(backend));
+                    measured.push((backend, measure(&points, n_micro, dims, reps)));
                 }
-                simd::force(Some(backend));
-                let pps = measure(&points, n_micro, dims, reps, |_| {});
-                if backend == Backend::Scalar {
-                    scalar_kernel_pps = pps;
-                }
-                backends.push(BackendRow {
-                    backend: backend.name().to_string(),
-                    kernel_pps: pps,
-                    speedup: pps / scalar_pps,
-                });
             }
             simd::force(None);
+            let scalar_kernel_pps = measured
+                .iter()
+                .find(|(b, _)| *b == Backend::Scalar)
+                .map_or(f64::NAN, |(_, pps)| *pps);
+            let backends = measured
+                .into_iter()
+                .map(|(backend, pps)| BackendRow {
+                    backend: backend.name().to_string(),
+                    kernel_pps: pps,
+                    speedup: pps / scalar_kernel_pps,
+                })
+                .collect();
 
-            let kernel_pps = measure(&points, n_micro, dims, reps, |_| {});
-            let f32_pps = measure(&points, n_micro, dims, reps, |alg| {
-                alg.set_f32_rank(true);
-            });
+            let kernel_pps = measure(&points, n_micro, dims, reps);
             let batched_pps = {
                 let mut best = 0.0f64;
                 let mut out = Vec::with_capacity(BATCH);
@@ -267,27 +256,21 @@ fn main() {
             let row = Row {
                 dims,
                 n_micro,
-                scalar_pps,
                 backends,
                 kernel_pps,
-                f32_pps,
                 batched_pps,
-                kernel_speedup: kernel_pps / scalar_pps,
                 simd_speedup,
-                batched_speedup: batched_pps / scalar_pps,
+                batched_speedup: batched_pps / kernel_pps,
                 iso_scalar_ns,
                 iso_kernel_ns,
                 iso_speedup,
             };
             println!(
-                "{:>5} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.2} {:>8.2} {:>8.2} {:>9.0} {:>9.0} {:>8.2}",
+                "{:>5} {:>8} {:>12.0} {:>12.0} {:>8.2} {:>8.2} {:>9.0} {:>9.0} {:>8.2}",
                 row.dims,
                 row.n_micro,
-                row.scalar_pps,
                 row.kernel_pps,
-                row.f32_pps,
                 row.batched_pps,
-                row.kernel_speedup,
                 row.simd_speedup,
                 row.batched_speedup,
                 row.iso_scalar_ns,
@@ -296,8 +279,8 @@ fn main() {
             );
             for b in &row.backends {
                 println!(
-                    "{:>5} {:>8} {:>12} {:>12.0} {:>12} {:>12} {:>8.2}",
-                    "", "", b.backend, b.kernel_pps, "", "", b.speedup
+                    "{:>5} {:>8} {:>12} {:>12.0} {:>8.2}",
+                    "", "", b.backend, b.kernel_pps, b.speedup
                 );
             }
             rows.push(row);

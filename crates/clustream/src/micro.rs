@@ -14,7 +14,6 @@ use crate::feature::CfVector;
 use crate::macrocluster::{macro_cluster_cfs, MacroClustering};
 use serde::{Deserialize, Serialize};
 use umicro::kernel::ClusterKernel;
-use ustream_common::point::sq_euclidean;
 use ustream_common::{AdditiveFeature, Result, Timestamp, UStreamError, UncertainPoint};
 use ustream_snapshot::ClusterSetSnapshot;
 
@@ -102,11 +101,10 @@ pub struct CluStream {
     clusters: Vec<CluMicroCluster>,
     next_id: u64,
     inserted: u64,
-    /// SoA mirror of `clusters` (zero noise rows) serving nearest-centroid
-    /// ranking, closest-pair merges and cached RMS radii.
+    /// SoA mirror of `clusters` (zero noise rows), row `i` for cluster `i`
+    /// at all times, serving nearest-centroid ranking, closest-pair merges
+    /// and cached RMS radii.
     kernel: ClusterKernel,
-    kernel_stale: bool,
-    kernel_enabled: bool,
 }
 
 impl CluStream {
@@ -123,8 +121,6 @@ impl CluStream {
             next_id: 0,
             inserted: 0,
             kernel: ClusterKernel::new(dims),
-            kernel_stale: false,
-            kernel_enabled: true,
         }
     }
 
@@ -143,51 +139,26 @@ impl CluStream {
         &self.clusters
     }
 
-    /// Toggles the SoA distance kernel at runtime (benches use this to
-    /// isolate its contribution); re-enabling rebuilds at the next insert.
-    pub fn set_kernel_enabled(&mut self, enabled: bool) {
-        self.kernel_enabled = enabled;
-        self.kernel_stale = true;
-    }
-
-    /// Opts the kernel's centroid ranking into the f32 pre-scan mode;
-    /// the winner stays bit-identical to the pure-f64 scan.
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.kernel.set_f32_rank(enabled);
-    }
-
-    /// The kernel, synchronised with the live cluster set — rebuilds first
-    /// when stale. Row `i` mirrors `micro_clusters()[i]`.
-    pub fn kernel_synced(&mut self) -> &ClusterKernel {
-        if self.kernel_stale {
-            self.sync_kernel();
-        }
+    /// The kernel mirroring the live cluster set: row `i` mirrors
+    /// `micro_clusters()[i]`.
+    pub fn kernel(&self) -> &ClusterKernel {
         &self.kernel
     }
 
     /// Squared Euclidean distance from `values` to the nearest centroid:
-    /// one kernel sweep when the kernel is live (its rows carry zero
-    /// noise, so the error-corrected sweep with zero errors is the plain
-    /// distance), the per-CF loop otherwise. `INFINITY` when there are no
-    /// clusters or no centroid is a finite distance away.
+    /// one kernel sweep (its rows carry zero noise, so the error-corrected
+    /// sweep with zero errors is the plain distance). `INFINITY` when there
+    /// are no clusters or no centroid is a finite distance away.
     pub(crate) fn nearest_sq_distance(&self, values: &[f64]) -> f64 {
-        if self.kernel_live() {
-            return self.kernel.min_sq_euclidean(values);
-        }
-        self.clusters
-            .iter()
-            .map(|c| c.cf.sq_distance_to(values))
-            .fold(f64::INFINITY, f64::min)
+        self.kernel.min_sq_euclidean(values)
     }
 
     /// Processes one stream point (error vector ignored).
     pub fn insert(&mut self, point: &UncertainPoint) -> CluStreamInsert {
         debug_assert_eq!(point.dims(), self.config.dims);
+        debug_assert_eq!(self.kernel.len(), self.clusters.len());
         self.inserted += 1;
         let now = point.timestamp();
-        if self.kernel_enabled && self.kernel_stale {
-            self.sync_kernel();
-        }
 
         // Bootstrap: fill the budget with singleton seeds (the VLDB'03
         // paper seeds its micro-clusters with an offline k-means over the
@@ -203,30 +174,16 @@ impl CluStream {
             };
         }
 
-        // Nearest centroid by plain Euclidean distance — cached kernel rows
-        // when live, the per-CF scalar loop otherwise.
-        let (best, d2) = if self.kernel_live() {
-            self.kernel
-                .nearest_deterministic(point.values())
-                // lint:allow(hot-panic): insert() seeds a cluster before any nearest scan
-                .expect("non-empty cluster list")
-        } else {
-            self.clusters
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (i, c.cf.sq_distance_to(point.values())))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                // lint:allow(hot-panic): insert() seeds a cluster before any nearest scan
-                .expect("non-empty cluster list")
-        };
+        // Nearest centroid by plain Euclidean distance from cached rows.
+        let (best, d2) = self
+            .kernel
+            .nearest_deterministic(point.values())
+            // lint:allow(hot-panic): insert() seeds a cluster before any nearest scan
+            .expect("non-empty cluster list");
 
         // Maximal boundary: t × RMS deviation; singletons borrow the
         // distance to the nearest other cluster.
-        let radius = if self.kernel_live() {
-            self.kernel.uncertain_radius(best)
-        } else {
-            self.clusters[best].cf.rms_radius()
-        };
+        let radius = self.kernel.uncertain_radius(best);
         let boundary = if self.clusters[best].cf.n() > 1.0 && radius > 1e-9 {
             self.config.boundary_factor * radius
         } else if self.clusters.len() > 1 {
@@ -240,11 +197,7 @@ impl CluStream {
         if d2.sqrt() <= boundary {
             self.clusters[best].cf.insert(point);
             let cluster_id = self.clusters[best].id;
-            if self.kernel_live() {
-                self.kernel.refresh(best, &self.clusters[best].cf);
-            } else {
-                self.kernel_stale = true;
-            }
+            self.kernel.refresh(best, &self.clusters[best].cf);
             return CluStreamInsert {
                 cluster_id,
                 created: false,
@@ -264,12 +217,9 @@ impl CluStream {
     }
 
     /// Processes a mini-batch of stream points, appending one outcome per
-    /// point to `out`; any pending kernel rebuild is paid once per block.
+    /// point to `out`.
     pub fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<CluStreamInsert>) {
         out.reserve(points.len());
-        if self.kernel_enabled && self.kernel_stale {
-            self.sync_kernel();
-        }
         for p in points {
             out.push(self.insert(p));
         }
@@ -313,8 +263,7 @@ impl CluStream {
             });
         }
         self.inserted += init_points.len() as u64;
-        // Seeding bypassed the incremental kernel updates.
-        self.kernel_stale = true;
+        self.kernel.rebuild(self.clusters.iter().map(|c| &c.cf));
     }
 
     /// Snapshot keyed by stable id, for pyramidal storage.
@@ -329,27 +278,11 @@ impl CluStream {
 
     // --- internals -------------------------------------------------------
 
-    /// Whether kernel rows may be consulted and incrementally maintained.
-    #[inline]
-    fn kernel_live(&self) -> bool {
-        self.kernel_enabled && !self.kernel_stale
-    }
-
-    /// Rebuilds the kernel mirror from the live cluster set.
-    fn sync_kernel(&mut self) {
-        self.kernel.rebuild(self.clusters.iter().map(|c| &c.cf));
-        self.kernel_stale = false;
-    }
-
     fn create_cluster(&mut self, point: &UncertainPoint) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let cf = CfVector::from_point(point);
-        if self.kernel_live() {
-            self.kernel.push(&cf);
-        } else {
-            self.kernel_stale = true;
-        }
+        self.kernel.push(&cf);
         self.clusters.push(CluMicroCluster {
             id,
             merged_ids: Vec::new(),
@@ -382,40 +315,18 @@ impl CluStream {
         if let Some((idx, stamp)) = stale {
             if stamp < threshold {
                 let victim = self.clusters.swap_remove(idx);
-                if self.kernel_live() {
-                    self.kernel.swap_remove(idx);
-                } else {
-                    self.kernel_stale = true;
-                }
+                self.kernel.swap_remove(idx);
                 return (Some(victim.id), None);
             }
         }
 
-        // 2. Merge the two closest micro-clusters — from cached kernel rows
-        // when live (no centroid allocations), the scalar O(k²·d) sweep
-        // otherwise.
-        let (i, j) = if self.kernel_live() {
-            let (i, j, _) = self
-                .kernel
-                .closest_pair()
-                // lint:allow(hot-panic): only reached when clusters.len() exceeds the budget (>= 2)
-                .expect("budget overflow implies at least two clusters");
-            (i, j)
-        } else {
-            let mut best_pair = (0usize, 1usize);
-            let mut best_d = f64::INFINITY;
-            let centroids: Vec<Vec<f64>> = self.clusters.iter().map(|c| c.cf.centroid()).collect();
-            for i in 0..self.clusters.len() {
-                for j in (i + 1)..self.clusters.len() {
-                    let d = sq_euclidean(&centroids[i], &centroids[j]);
-                    if d < best_d {
-                        best_d = d;
-                        best_pair = (i, j);
-                    }
-                }
-            }
-            best_pair
-        };
+        // 2. Merge the two closest micro-clusters, from cached kernel rows
+        // (no centroid allocations).
+        let (i, j, _) = self
+            .kernel
+            .closest_pair()
+            // lint:allow(hot-panic): only reached when clusters.len() exceeds the budget (>= 2)
+            .expect("budget overflow implies at least two clusters");
         // Survivor = larger cluster; keeps its id and records the other's.
         let (survivor_idx, absorbed_idx) = if self.clusters[i].cf.n() >= self.clusters[j].cf.n() {
             (i, j)
@@ -423,11 +334,7 @@ impl CluStream {
             (j, i)
         };
         let absorbed = self.clusters.swap_remove(absorbed_idx);
-        if self.kernel_live() {
-            self.kernel.swap_remove(absorbed_idx);
-        } else {
-            self.kernel_stale = true;
-        }
+        self.kernel.swap_remove(absorbed_idx);
         // swap_remove may have moved the survivor.
         let survivor_idx = if survivor_idx == self.clusters.len() {
             absorbed_idx
@@ -439,37 +346,15 @@ impl CluStream {
         survivor.merged_ids.push(absorbed.id);
         survivor.merged_ids.extend(absorbed.merged_ids);
         let (survivor_id, absorbed_id) = (survivor.id, absorbed.id);
-        if self.kernel_live() {
-            self.kernel
-                .refresh(survivor_idx, &self.clusters[survivor_idx].cf);
-        }
+        self.kernel
+            .refresh(survivor_idx, &self.clusters[survivor_idx].cf);
         (None, Some((survivor_id, absorbed_id)))
     }
 
     fn nearest_other_centroid_sq(&self, idx: usize) -> f64 {
-        if self.kernel_live() {
-            return self
-                .kernel
-                .nearest_other_centroid_sq(idx)
-                .unwrap_or(f64::INFINITY);
-        }
-        // Scalar fallback: two reusable buffers instead of one fresh `Vec`
-        // per cluster visited.
-        let mut me = vec![0.0; self.config.dims];
-        self.clusters[idx].cf.centroid_into(&mut me);
-        let mut other = vec![0.0; self.config.dims];
-        let mut best = f64::INFINITY;
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            c.cf.centroid_into(&mut other);
-            let d = sq_euclidean(&me, &other);
-            if d < best {
-                best = d;
-            }
-        }
-        best
+        self.kernel
+            .nearest_other_centroid_sq(idx)
+            .unwrap_or(f64::INFINITY)
     }
 }
 

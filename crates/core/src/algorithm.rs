@@ -16,13 +16,12 @@
 
 use crate::boundary::{boundary_decision, BoundaryDecision};
 use crate::config::{BoundaryMode, SimilarityMode, UMicroConfig};
-use crate::distance::{corrected_sq_distance, expected_sq_distance};
+use crate::distance::corrected_sq_distance;
 use crate::ecf::Ecf;
 use crate::kernel::ClusterKernel;
 use crate::macrocluster::{macro_cluster_ecfs, MacroClustering};
-use crate::similarity::{dimension_counting_similarity, GlobalVariance};
+use crate::similarity::GlobalVariance;
 use crate::state::ClustererState;
-use ustream_common::point::sq_euclidean;
 use ustream_common::{AdditiveFeature, DecayableFeature, Timestamp, UStreamError, UncertainPoint};
 use ustream_snapshot::ClusterSetSnapshot;
 
@@ -91,15 +90,9 @@ pub struct UMicro {
     inserted: u64,
     /// Exponential decay rate λ; 0 disables decay.
     lambda: f64,
-    /// SoA mirror of `clusters` serving the hot ranking loop.
+    /// SoA mirror of `clusters`, row `i` for cluster `i` at all times:
+    /// every mutation updates it in step, every bulk edit rebuilds it.
     kernel: ClusterKernel,
-    /// Set whenever `clusters` may have changed without the kernel being
-    /// told (bulk restore, decay synchronisation, kernel toggling); the next
-    /// ranking rebuilds before consulting any row.
-    kernel_stale: bool,
-    /// Runtime switch; disabling falls back to the scalar per-ECF loops
-    /// (used by benches to measure the kernel's contribution).
-    kernel_enabled: bool,
     /// Cached `1/(thresh·σ_j²)` similarity coefficients (∞ = skip), kept in
     /// lockstep with `global`.
     scratch_inv: Vec<f64>,
@@ -122,8 +115,6 @@ impl UMicro {
             inserted: 0,
             lambda: 0.0,
             kernel: ClusterKernel::new(dims),
-            kernel_stale: false,
-            kernel_enabled: true,
             scratch_inv: vec![f64::INFINITY; dims],
         }
     }
@@ -156,31 +147,10 @@ impl UMicro {
         self.global.variances()
     }
 
-    /// Toggles the SoA distance kernel at runtime. Disabling routes ranking
-    /// through the scalar per-ECF loops; re-enabling rebuilds the kernel at
-    /// the next insertion. Benches use this to isolate the kernel's
-    /// contribution — production code leaves it on (the default).
-    pub fn set_kernel_enabled(&mut self, enabled: bool) {
-        self.kernel_enabled = enabled;
-        self.kernel_stale = true;
-    }
-
-    /// Opts the kernel's expected-distance ranking into (or out of) the
-    /// f32 pre-scan mode. The returned winner and distance stay
-    /// bit-identical to the pure-f64 scan — the pre-scan only prunes
-    /// rows, and every surviving candidate is re-ranked in exact f64 —
-    /// so this is purely a speed/bandwidth knob. Off by default.
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.kernel.set_f32_rank(enabled);
-    }
-
-    /// The kernel, synchronised with the live cluster set — rebuilds first
-    /// when stale. Row `i` mirrors `micro_clusters()[i]`; parity tests and
-    /// diagnostics read cached invariants through this.
-    pub fn kernel_synced(&mut self) -> &ClusterKernel {
-        if self.kernel_stale {
-            self.sync_kernel();
-        }
+    /// The kernel mirroring the live cluster set: row `i` mirrors
+    /// `micro_clusters()[i]`. Parity tests and diagnostics read cached
+    /// invariants through this.
+    pub fn kernel(&self) -> &ClusterKernel {
         &self.kernel
     }
 
@@ -196,10 +166,9 @@ impl UMicro {
     /// Error-corrected distance from `point` to the nearest micro-cluster:
     /// `√ minᵢ Σⱼ max(0, (xⱼ−cᵢⱼ)² − ψⱼ² − EF2ᵢⱼ/Wᵢ²)`, the clean geometry
     /// novelty detection scores arrivals with — UMicro's
-    /// [`crate::OnlineClusterer::isolation`]. One kernel sweep when the
-    /// kernel is live, the scalar per-ECF loop otherwise. `None` while no
-    /// clusters exist, and for a point no cluster is a finite distance
-    /// from (a NaN or ±∞ coordinate).
+    /// [`crate::OnlineClusterer::isolation`]: one kernel sweep. `None`
+    /// while no clusters exist, and for a point no cluster is a finite
+    /// distance from (a NaN or ±∞ coordinate).
     pub(crate) fn corrected_isolation(&self, point: &UncertainPoint) -> Option<f64> {
         isolation_from_sq(self.min_corrected_sq(point))
     }
@@ -207,14 +176,7 @@ impl UMicro {
     /// The squared form of [`UMicro::corrected_isolation`] (`INFINITY`
     /// when empty).
     fn min_corrected_sq(&self, point: &UncertainPoint) -> f64 {
-        if self.kernel_live() {
-            self.kernel.min_corrected_sq(point.values(), point.errors())
-        } else {
-            self.clusters
-                .iter()
-                .map(|c| corrected_sq_distance(point, &c.ecf))
-                .fold(f64::INFINITY, f64::min)
-        }
+        self.kernel.min_corrected_sq(point.values(), point.errors())
     }
 
     /// The insertion loop. `scored` adds the point's pre-insertion
@@ -229,6 +191,7 @@ impl UMicro {
         scored: bool,
     ) -> (InsertOutcome, Option<f64>) {
         debug_assert_eq!(point.dims(), self.config.dims);
+        debug_assert_eq!(self.kernel.len(), self.clusters.len());
         // Last line of defence against poison points: a NaN/∞ coordinate
         // absorbed into an ECF contaminates every derived statistic
         // (centroid, radii, global variances) irreversibly, and the distance
@@ -246,9 +209,6 @@ impl UMicro {
         let now = point.timestamp();
         self.inserted += 1;
         self.maybe_refresh_variances();
-        if self.kernel_enabled && self.kernel_stale {
-            self.sync_kernel();
-        }
 
         // Bootstrap (§II-A): "in the initial stages of the algorithm, the
         // current number of micro-clusters is less than n_micro. If this is
@@ -279,27 +239,17 @@ impl UMicro {
         } else {
             None
         };
-        let best_ecf = &self.clusters[best].ecf;
-        let live = self.kernel_live();
         // Radius/distance pair per the configured boundary mode; the kernel
         // serves both radii and the expected distance from cached rows.
         let (radius, d2) = match self.config.boundary_mode {
-            BoundaryMode::UncertainRadius => {
-                let r = if live {
-                    self.kernel.uncertain_radius(best)
-                } else {
-                    best_ecf.uncertain_radius()
-                };
-                (r, self.expected_sq_distance_to(point, best))
-            }
-            BoundaryMode::ErrorCorrected => {
-                let r = if live {
-                    self.kernel.corrected_radius(best)
-                } else {
-                    best_ecf.corrected_radius()
-                };
-                (r, corrected_sq_distance(point, best_ecf))
-            }
+            BoundaryMode::UncertainRadius => (
+                self.kernel.uncertain_radius(best),
+                self.expected_sq_distance_to(point, best),
+            ),
+            BoundaryMode::ErrorCorrected => (
+                self.kernel.corrected_radius(best),
+                corrected_sq_distance(point, &self.clusters[best].ecf),
+            ),
         };
 
         // A lone degenerate cluster has no neighbour to borrow a boundary
@@ -310,12 +260,10 @@ impl UMicro {
             && self.clusters.len() == 1
             && self.config.boundary_mode == BoundaryMode::ErrorCorrected
         {
-            let r = if live {
-                self.kernel.uncertain_radius(best)
-            } else {
-                best_ecf.uncertain_radius()
-            };
-            (r, self.expected_sq_distance_to(point, best))
+            (
+                self.kernel.uncertain_radius(best),
+                self.expected_sq_distance_to(point, best),
+            )
         } else {
             (radius, d2)
         };
@@ -345,11 +293,7 @@ impl UMicro {
                 }
                 cluster.ecf.insert(point);
                 let cluster_id = cluster.id;
-                if self.kernel_live() {
-                    self.kernel.refresh(best, &self.clusters[best].ecf);
-                } else {
-                    self.kernel_stale = true;
-                }
+                self.kernel.refresh(best, &self.clusters[best].ecf);
                 InsertOutcome {
                     cluster_id,
                     created: false,
@@ -372,15 +316,11 @@ impl UMicro {
     /// Processes a mini-batch of stream points, appending one outcome per
     /// point to `out`.
     ///
-    /// Equivalent to calling [`UMicro::insert`] in a loop, but any pending
-    /// kernel rebuild is paid once for the whole block and the outcome
-    /// buffer is reserved up front — the shape [`crate::OnlineClusterer`]
-    /// batch ingestion routes through.
+    /// Equivalent to calling [`UMicro::insert`] in a loop, with the
+    /// outcome buffer reserved up front — the shape
+    /// [`crate::OnlineClusterer`] batch ingestion routes through.
     pub fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
         out.reserve(points.len());
-        if self.kernel_enabled && self.kernel_stale {
-            self.sync_kernel();
-        }
         for p in points {
             out.push(self.insert(p));
         }
@@ -390,17 +330,13 @@ impl UMicro {
     /// pre-insertion isolation ([`crate::OnlineClusterer::isolation`]):
     /// one `(outcome, isolation)` pair per point, appended to `out`. Where
     /// the kernel's fused sweep ranks a point, the isolation comes out of
-    /// that same sweep. Syncing the kernel up front keeps every isolation
-    /// on the kernel.
+    /// that same sweep.
     pub fn insert_batch_scored(
         &mut self,
         points: &[UncertainPoint],
         out: &mut Vec<(InsertOutcome, Option<f64>)>,
     ) {
         out.reserve(points.len());
-        if self.kernel_enabled && self.kernel_stale {
-            self.sync_kernel();
-        }
         for p in points {
             out.push(self.insert_inner(p, true));
         }
@@ -441,8 +377,7 @@ impl UMicro {
         alg.inserted = alg.clusters.iter().map(|c| c.ecf.point_count()).sum();
         alg.global.refresh(alg.clusters.iter().map(|c| &c.ecf));
         alg.refresh_inv_coefficients();
-        // Clusters were pushed behind the kernel's back.
-        alg.kernel_stale = true;
+        alg.rebuild_kernel();
         alg
     }
 
@@ -505,52 +440,37 @@ impl UMicro {
             self.global.refresh(self.clusters.iter().map(|c| &c.ecf));
         }
         self.refresh_inv_coefficients();
-        self.kernel_stale = true;
+        self.rebuild_kernel();
         Ok(())
     }
 
     // --- internals -------------------------------------------------------
 
-    /// Mutable cluster access for the decayed wrapper (same crate only).
-    /// Hands out raw statistics, so the kernel mirror is written off until
-    /// the next synchronisation.
-    pub(crate) fn clusters_mut(&mut self) -> &mut Vec<MicroCluster> {
-        self.kernel_stale = true;
-        &mut self.clusters
-    }
-
-    /// Whether kernel rows may be consulted and incrementally maintained.
-    #[inline]
-    fn kernel_live(&self) -> bool {
-        self.kernel_enabled && !self.kernel_stale
+    /// Keeps the clusters `keep` returns `true` for, letting it edit each
+    /// one's statistics in place (the decayed wrapper's synchronisation),
+    /// then rebuilds the kernel from the survivors.
+    pub(crate) fn retain_clusters(&mut self, keep: impl FnMut(&mut MicroCluster) -> bool) {
+        self.clusters.retain_mut(keep);
+        self.rebuild_kernel();
     }
 
     /// Rebuilds the kernel mirror from the live cluster set.
-    fn sync_kernel(&mut self) {
+    fn rebuild_kernel(&mut self) {
         self.kernel.rebuild(self.clusters.iter().map(|c| &c.ecf));
-        self.kernel_stale = false;
     }
 
-    /// Expected squared distance to cluster `idx` — cached rows when live,
-    /// the scalar Lemma 2.2 evaluation otherwise.
+    /// Expected squared distance to cluster `idx` (Lemma 2.2) from the
+    /// cached kernel row.
     fn expected_sq_distance_to(&self, point: &UncertainPoint, idx: usize) -> f64 {
-        if self.kernel_live() {
-            self.kernel
-                .expected_sq_distance(point.values(), point.errors(), idx)
-        } else {
-            expected_sq_distance(point, &self.clusters[idx].ecf)
-        }
+        self.kernel
+            .expected_sq_distance(point.values(), point.errors(), idx)
     }
 
     fn create_cluster(&mut self, point: &UncertainPoint) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let ecf = Ecf::from_point(point);
-        if self.kernel_live() {
-            self.kernel.push(&ecf);
-        } else {
-            self.kernel_stale = true;
-        }
+        self.kernel.push(&ecf);
         self.clusters.push(MicroCluster { id, ecf });
         id
     }
@@ -571,12 +491,8 @@ impl UMicro {
             .min_by_key(|(_, c)| (c.ecf.last_update(), c.id))
             .map(|(i, _)| i)?;
         let victim = self.clusters.swap_remove(victim_idx);
-        if self.kernel_live() {
-            // Mirror the swap-remove so row i keeps tracking cluster i.
-            self.kernel.swap_remove(victim_idx);
-        } else {
-            self.kernel_stale = true;
-        }
+        // Mirror the swap-remove so row i keeps tracking cluster i.
+        self.kernel.swap_remove(victim_idx);
         Some(victim.id)
     }
 
@@ -586,98 +502,48 @@ impl UMicro {
     /// value); otherwise that is `None`.
     fn closest_cluster(&self, point: &UncertainPoint, scored: bool) -> (usize, Option<f64>) {
         debug_assert!(!self.clusters.is_empty());
-        match self.config.similarity {
-            SimilarityMode::ExpectedDistance => (self.closest_by_expected_distance(point), None),
-            SimilarityMode::DimensionCounting { thresh } => {
-                if !self.global.is_informative() {
-                    // Early stream: no variance estimate yet.
-                    return (self.closest_by_expected_distance(point), None);
-                }
-                if self.kernel_live() {
-                    let (values, errors, inv) = (point.values(), point.errors(), &self.scratch_inv);
-                    let swept = if scored {
-                        self.kernel
-                            .rank_fused_scored(values, errors, inv)
-                            .map(|(fused, corrected)| (fused, Some(corrected)))
-                    } else {
-                        self.kernel
-                            .rank_fused(values, errors, inv)
-                            .map(|f| (f, None))
-                    };
-                    let (fused, corrected) = swept
-                        // lint:allow(hot-panic): kernel mirrors self.clusters, checked non-empty above
-                        .expect("ranking requires a non-empty cluster set");
-                    // The point earned no credit anywhere (far from all
-                    // clusters on every informative dimension): fall back
-                    // to expected-distance ranking, whose argmin the fused
-                    // sweep already carries — no second pass over the rows.
-                    let best = if fused.sim <= 0.0 {
-                        fused.dist_idx
-                    } else {
-                        fused.sim_idx
-                    };
-                    return (best, corrected);
-                }
-                let mut best = 0usize;
-                let mut best_sim = f64::NEG_INFINITY;
-                for (i, c) in self.clusters.iter().enumerate() {
-                    let s = dimension_counting_similarity(point, &c.ecf, &self.global, thresh);
-                    if s > best_sim {
-                        best_sim = s;
-                        best = i;
-                    }
-                }
-                if best_sim <= 0.0 {
-                    // Scalar fallback keeps the explicit second ranking pass.
-                    return (self.closest_by_expected_distance(point), None);
-                }
-                (best, None)
-            }
+        if matches!(self.config.similarity, SimilarityMode::ExpectedDistance)
+            || !self.global.is_informative()
+        {
+            // Expected-distance mode, or early stream with no variance
+            // estimate yet.
+            return (self.closest_by_expected_distance(point), None);
         }
+        let (values, errors, inv) = (point.values(), point.errors(), &self.scratch_inv);
+        let swept = if scored {
+            self.kernel
+                .rank_fused_scored(values, errors, inv)
+                .map(|(fused, corrected)| (fused, Some(corrected)))
+        } else {
+            self.kernel
+                .rank_fused(values, errors, inv)
+                .map(|f| (f, None))
+        };
+        let (fused, corrected) = swept
+            // lint:allow(hot-panic): kernel mirrors self.clusters, checked non-empty above
+            .expect("ranking requires a non-empty cluster set");
+        // The point earned no credit anywhere (far from all clusters on
+        // every informative dimension): fall back to expected-distance
+        // ranking, whose argmin the fused sweep already carries — no second
+        // pass over the rows.
+        let best = if fused.sim <= 0.0 {
+            fused.dist_idx
+        } else {
+            fused.sim_idx
+        };
+        (best, corrected)
     }
 
     fn closest_by_expected_distance(&self, point: &UncertainPoint) -> usize {
-        if self.kernel_live() {
-            if let Some((best, _)) = self.kernel.nearest_expected(point.values(), point.errors()) {
-                return best;
-            }
-        }
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, c) in self.clusters.iter().enumerate() {
-            let d = expected_sq_distance(point, &c.ecf);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
+        self.kernel
+            .nearest_expected(point.values(), point.errors())
+            .map_or(0, |(best, _)| best)
     }
 
     fn nearest_other_centroid_sq(&self, idx: usize) -> f64 {
-        if self.kernel_live() {
-            return self
-                .kernel
-                .nearest_other_centroid_sq(idx)
-                .unwrap_or(f64::INFINITY);
-        }
-        // Scalar fallback: two reusable buffers instead of one fresh `Vec`
-        // per cluster visited.
-        let mut me = vec![0.0; self.config.dims];
-        self.clusters[idx].ecf.centroid_into(&mut me);
-        let mut other = vec![0.0; self.config.dims];
-        let mut best = f64::INFINITY;
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            c.ecf.centroid_into(&mut other);
-            let d = sq_euclidean(&me, &other);
-            if d < best {
-                best = d;
-            }
-        }
-        best
+        self.kernel
+            .nearest_other_centroid_sq(idx)
+            .unwrap_or(f64::INFINITY)
     }
 
     fn maybe_refresh_variances(&mut self) {

@@ -131,23 +131,12 @@ impl DecayedUMicro {
         }
     }
 
-    /// Toggles the SoA distance kernel; see [`UMicro::set_kernel_enabled`].
-    pub fn set_kernel_enabled(&mut self, enabled: bool) {
-        self.inner.set_kernel_enabled(enabled);
-    }
-
-    /// Opts ranking into the f32 pre-scan mode; see
-    /// [`UMicro::set_f32_rank`].
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.inner.set_f32_rank(enabled);
-    }
-
-    /// The kernel, synchronised with the live cluster set; see
-    /// [`UMicro::kernel_synced`]. (Synchronised with the *statistics as
-    /// stored* — lazily decayed clusters are mirrored at their own reference
-    /// ticks, exactly as the scalar ranking sees them.)
-    pub fn kernel_synced(&mut self) -> &crate::kernel::ClusterKernel {
-        self.inner.kernel_synced()
+    /// The kernel mirroring the live cluster set; see [`UMicro::kernel`].
+    /// (It mirrors the *statistics as stored* — lazily decayed clusters at
+    /// their own reference ticks, exactly as [`Self::micro_clusters`]
+    /// reports them.)
+    pub fn kernel(&self) -> &crate::kernel::ClusterKernel {
+        self.inner.kernel()
     }
 
     /// Brings every micro-cluster's statistics current to tick `now` and
@@ -158,12 +147,10 @@ impl DecayedUMicro {
         }
         let lambda = self.lambda;
         let floor = self.weight_floor;
-        self.inner
-            .clusters_mut()
-            .retain_mut(|c: &mut MicroCluster| {
-                c.ecf.decay_to(now, lambda);
-                c.ecf.weight() > floor
-            });
+        self.inner.retain_clusters(|c: &mut MicroCluster| {
+            c.ecf.decay_to(now, lambda);
+            c.ecf.weight() > floor
+        });
     }
 
     /// Snapshot of the current state with all statistics synchronised to

@@ -21,13 +21,12 @@
 //!
 //! ## Invariant maintenance
 //!
-//! The kernel mirrors an owner's cluster list index-for-index. Owners call
-//! [`ClusterKernel::push`] / [`ClusterKernel::refresh`] /
+//! The kernel mirrors an owner's cluster list index-for-index at all times.
+//! Owners call [`ClusterKernel::push`] / [`ClusterKernel::refresh`] /
 //! [`ClusterKernel::swap_remove`] at every mutation (insert, merge, retire),
-//! or [`ClusterKernel::rebuild`] after bulk edits. Every mutation bumps a
-//! generation counter; owners that hand out raw mutable access to their
-//! clusters mark the kernel stale and rebuild before the next ranking, so a
-//! stale row can never be consulted.
+//! and [`ClusterKernel::rebuild`] on the spot after every bulk edit
+//! (restore, state import, decay synchronisation, k-means seeding), so no
+//! ranking, radius or isolation query can ever read a stale row.
 
 use crate::distance::sanitize_sq;
 use crate::ecf::Ecf;
@@ -94,38 +93,9 @@ pub struct ClusterKernel {
     uncertain_radius: Vec<f64>,
     /// Cached error-corrected radii.
     corrected_radius: Vec<f64>,
-    /// f32 mirror of `centroids` for the opt-in single-precision
-    /// pre-ranking pass (maintained on every row write).
-    centroids_f32: Vec<f32>,
-    /// f32 mirror of `self_moment`.
-    self_moment_f32: Vec<f32>,
-    /// Cached `‖c_i‖` — feeds the sound error margin of the f32 pass.
-    row_norm: Vec<f64>,
-    /// Whether expected-distance ranking may pre-scan in f32 (the
-    /// winner is always re-derived in exact canonical f64).
-    f32_rank: bool,
     /// `dims` zeros: the error vector of a deterministic point and the
     /// (unused) similarity coefficients of a corrected-distance sweep.
     zeros: Vec<f64>,
-    /// Bumped on every mutation; owners compare against their own model
-    /// generation to prove freshness.
-    generation: u64,
-}
-
-/// Minimum row count for the f32 pre-ranking pass to pay for itself;
-/// below this the narrowing overhead exceeds the scan savings.
-const F32_RANK_MIN_LEN: usize = 4;
-
-/// Absolute floor of the f32 candidate margin — covers denormal
-/// rounding, which has no relative error bound.
-const F32_RANK_TINY: f64 = 1e-40;
-
-thread_local! {
-    /// Per-thread scratch for the f32 pre-ranking pass (narrowed point
-    /// and score buffer) — keeps the ranking methods `&self` and the
-    /// kernel `Send + Sync` without per-call allocation.
-    static F32_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl ClusterKernel {
@@ -154,12 +124,6 @@ impl ClusterKernel {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Mutation counter; strictly increases with every row change.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The cached centroid of cluster `i`.
@@ -192,40 +156,21 @@ impl ClusterKernel {
         self.corrected_radius[i]
     }
 
-    /// Opts expected-distance ranking in or out of the f32 pre-scan
-    /// mode. The returned winner and score stay bit-identical to the
-    /// pure-f64 scan either way (see [`simd`] module docs), so this is
-    /// purely a speed/bandwidth knob.
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.f32_rank = enabled;
-    }
-
-    /// Whether the f32 pre-ranking mode is enabled.
-    #[inline]
-    pub fn f32_rank(&self) -> bool {
-        self.f32_rank
-    }
-
     /// Appends a row mirroring a newly created cluster.
     pub fn push<R: KernelRow>(&mut self, row: &R) {
         let d = self.dims;
         self.centroids.resize((self.len + 1) * d, 0.0);
         self.noise.resize((self.len + 1) * d, 0.0);
-        self.centroids_f32.resize((self.len + 1) * d, 0.0);
         self.self_moment.push(0.0);
-        self.self_moment_f32.push(0.0);
-        self.row_norm.push(0.0);
         self.uncertain_radius.push(0.0);
         self.corrected_radius.push(0.0);
         self.len += 1;
         self.write(self.len - 1, row);
-        self.generation += 1;
     }
 
     /// Re-derives row `i` after its cluster's statistics changed.
     pub fn refresh<R: KernelRow>(&mut self, i: usize, row: &R) {
         self.write(i, row);
-        self.generation += 1;
     }
 
     /// Removes row `i` by swapping in the last row — mirrors
@@ -238,47 +183,28 @@ impl ClusterKernel {
             for j in 0..d {
                 self.centroids[i * d + j] = self.centroids[last * d + j];
                 self.noise[i * d + j] = self.noise[last * d + j];
-                self.centroids_f32[i * d + j] = self.centroids_f32[last * d + j];
             }
         }
         self.centroids.truncate(last * d);
         self.noise.truncate(last * d);
-        self.centroids_f32.truncate(last * d);
         self.self_moment.swap_remove(i);
-        self.self_moment_f32.swap_remove(i);
-        self.row_norm.swap_remove(i);
         self.uncertain_radius.swap_remove(i);
         self.corrected_radius.swap_remove(i);
         self.len = last;
-        self.generation += 1;
     }
 
-    /// Rebuilds every row from scratch — the recovery path after bulk
-    /// mutations (restore, decay synchronisation, k-means seeding).
+    /// Rebuilds every row from scratch — the path after bulk mutations
+    /// (restore, state import, decay synchronisation, k-means seeding).
     pub fn rebuild<'a, R: KernelRow + 'a>(&mut self, rows: impl Iterator<Item = &'a R>) {
         self.len = 0;
         self.centroids.clear();
         self.noise.clear();
-        self.centroids_f32.clear();
         self.self_moment.clear();
-        self.self_moment_f32.clear();
-        self.row_norm.clear();
         self.uncertain_radius.clear();
         self.corrected_radius.clear();
         for row in rows {
-            let d = self.dims;
-            self.centroids.resize((self.len + 1) * d, 0.0);
-            self.noise.resize((self.len + 1) * d, 0.0);
-            self.centroids_f32.resize((self.len + 1) * d, 0.0);
-            self.self_moment.push(0.0);
-            self.self_moment_f32.push(0.0);
-            self.row_norm.push(0.0);
-            self.uncertain_radius.push(0.0);
-            self.corrected_radius.push(0.0);
-            self.len += 1;
-            self.write(self.len - 1, row);
+            self.push(row);
         }
-        self.generation += 1;
     }
 
     fn write<R: KernelRow>(&mut self, i: usize, row: &R) {
@@ -286,11 +212,7 @@ impl ClusterKernel {
         let centroid = &mut self.centroids[i * d..(i + 1) * d];
         let noise = &mut self.noise[i * d..(i + 1) * d];
         row.write_row(centroid, noise);
-        let cc = dot(centroid, centroid);
-        self.self_moment[i] = cc + noise.iter().sum::<f64>();
-        self.row_norm[i] = cc.sqrt();
-        simd::narrow_row(&mut self.centroids_f32[i * d..(i + 1) * d], centroid);
-        self.self_moment_f32[i] = simd::narrow(self.self_moment[i]);
+        self.self_moment[i] = dot(centroid, centroid) + noise.iter().sum::<f64>();
         let (u, c) = row.radii();
         self.uncertain_radius[i] = u;
         self.corrected_radius[i] = c;
@@ -313,17 +235,11 @@ impl ClusterKernel {
 
     /// Shared ranking core: minimises `self_moment_i − 2·x·c_i`, the only
     /// cluster-dependent part of both distances, on the dispatched SIMD
-    /// backend. In f32 mode a single-precision pre-scan prunes the rows
-    /// first; the winner is re-derived in exact canonical f64 either way.
+    /// backend.
     fn nearest_by_score(&self, values: &[f64]) -> Option<(usize, f64)> {
         debug_assert_eq!(values.len(), self.dims);
         if self.len == 0 {
             return None;
-        }
-        if self.f32_rank && self.len >= F32_RANK_MIN_LEN {
-            if let Some(hit) = self.nearest_by_score_f32(values) {
-                return Some(hit);
-            }
         }
         Some(simd::rank_min_score(
             &self.centroids,
@@ -331,69 +247,6 @@ impl ClusterKernel {
             self.dims,
             values,
         ))
-    }
-
-    /// f32 pre-scan with exact f64 re-check. Pass 1 fills approximate
-    /// scores in single precision and derives a sound upper bound `U`
-    /// on the exact minimum (`U = min_i s_i + margin_i`, where
-    /// `margin_i` bounds `|s_i − exact_i|` via the f32 rounding slack,
-    /// `‖x‖` and the cached `‖c_i‖`). Pass 2 re-evaluates, in index
-    /// order and with the canonical f64 reduction, exactly the rows
-    /// whose `s_i − margin_i` cannot be proven above `U` — the true
-    /// argmin always survives the cut, so the returned `(index, score)`
-    /// is bit-identical to the pure-f64 scan. Returns `None` (caller
-    /// falls back to the exact scan) when f32 overflow would make the
-    /// bound unsound.
-    fn nearest_by_score_f32(&self, values: &[f64]) -> Option<(usize, f64)> {
-        let d = self.dims;
-        F32_SCRATCH.with(|cell| {
-            let (x32, scores) = &mut *cell.borrow_mut();
-            simd::narrow_into(x32, values);
-            if x32.iter().any(|v| v.is_infinite()) {
-                return None;
-            }
-            scores.clear();
-            scores.resize(self.len, 0.0);
-            simd::fill_scores_f32(&self.centroids_f32, &self.self_moment_f32, d, x32, scores);
-            let slack = simd::f32_rank_slack(d);
-            let norm_x = dot(values, values).sqrt();
-            let mut upper = f64::INFINITY;
-            for (i, s) in scores.iter().enumerate() {
-                let s = f64::from(*s);
-                if s.is_infinite() {
-                    return None;
-                }
-                let hi = s + self.f32_margin(i, slack, norm_x);
-                if hi < upper {
-                    upper = hi;
-                }
-            }
-            let mut best = 0usize;
-            let mut best_score = f64::INFINITY;
-            for (i, s) in scores.iter().enumerate() {
-                let s = f64::from(*s);
-                // Negated comparison: NaN scores stay candidates, so a
-                // poisoned row ranks exactly as in the pure-f64 scan.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(s - self.f32_margin(i, slack, norm_x) > upper) {
-                    let c = &self.centroids[i * d..(i + 1) * d];
-                    let exact = self.self_moment[i] - 2.0 * dot(values, c);
-                    if exact < best_score {
-                        best_score = exact;
-                        best = i;
-                    }
-                }
-            }
-            Some((best, best_score))
-        })
-    }
-
-    /// Sound bound on `|s_f32 − s_f64|` for row `i`: the relative
-    /// rounding slack scaled by the score's magnitude budget, plus an
-    /// absolute denormal floor.
-    #[inline]
-    fn f32_margin(&self, i: usize, slack: f64, norm_x: f64) -> f64 {
-        slack * (self.self_moment[i].abs() + 2.0 * norm_x * self.row_norm[i]) + F32_RANK_TINY
     }
 
     /// Expected squared distance from a point to cluster `i` (Lemma 2.2),
@@ -409,8 +262,8 @@ impl ClusterKernel {
     /// dimensions and `f64::INFINITY` for dimensions to skip: an infinite
     /// coefficient drives the credit to `−∞` (or `NaN` when the deviation is
     /// exactly zero), and `f64::max(0.0)` maps both to a zero contribution —
-    /// exactly the scalar path's "skip this dimension". Ties keep the lowest
-    /// index. `None` when empty.
+    /// exactly [`crate::similarity::dimension_counting_similarity`]'s
+    /// "skip this dimension". Ties keep the lowest index. `None` when empty.
     pub fn best_by_dimension_counting(
         &self,
         values: &[f64],
@@ -616,12 +469,10 @@ mod tests {
         k.push(&a);
         k.push(&b);
         k.push(&c);
-        let g0 = k.generation();
 
         a.insert(&pt(&[2.0], &[0.1]));
         k.refresh(0, &a);
         assert!((k.centroid_row(0)[0] - 1.0).abs() < 1e-12);
-        assert!(k.generation() > g0);
 
         // swap_remove(0) moves the last row (c) into slot 0.
         k.swap_remove(0);

@@ -539,78 +539,6 @@ fn sweep<const SCORE: bool>(
     }
 }
 
-/// Single-precision pre-ranking pass for the opt-in f32 mode: fills
-/// `out[i] = self_moment_f32[i] − 2·⟨x, cᵢ⟩` in f32. This pass has **no**
-/// cross-backend parity contract (it only pre-filters candidates; the
-/// winner is re-derived in exact canonical f64), so backends may use any
-/// lane width here.
-pub fn fill_scores_f32(
-    centroids: &[f32],
-    self_moment: &[f32],
-    dims: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    fill_scores_f32_with(active(), centroids, self_moment, dims, x, out)
-}
-
-/// [`fill_scores_f32`] on an explicit backend.
-pub fn fill_scores_f32_with(
-    backend: Backend,
-    centroids: &[f32],
-    self_moment: &[f32],
-    dims: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    assert_eq!(x.len(), dims, "point dimensionality mismatch");
-    assert_eq!(out.len(), self_moment.len(), "score buffer length mismatch");
-    assert_eq!(
-        centroids.len(),
-        self_moment.len() * dims,
-        "centroid matrix shape mismatch"
-    );
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 if backend.available() => {
-            // SAFETY: both backends imply AVX2 support (checked above).
-            unsafe { x86::fill_scores_f32_avx2(centroids, self_moment, dims, x, out) }
-        }
-        _ => portable::fill_scores_f32(centroids, self_moment, dims, x, out),
-    }
-}
-
-/// Overwrites `dst` with `src` narrowed to `f32` (round-to-nearest).
-/// Lives here so the deliberate precision loss stays inside the one
-/// module scoped for it.
-pub fn narrow_into(dst: &mut Vec<f32>, src: &[f64]) {
-    dst.clear();
-    dst.extend(src.iter().map(|v| *v as f32));
-}
-
-/// Narrows one matrix row in place: `dst[j] = src[j] as f32`.
-pub fn narrow_row(dst: &mut [f32], src: &[f64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = *s as f32;
-    }
-}
-
-/// Narrows a single value to `f32` (round-to-nearest).
-pub fn narrow(v: f64) -> f32 {
-    v as f32
-}
-
-/// Relative error bound of an f32 score `sm − 2·⟨x, c⟩` over `dims`
-/// dimensions, used to build the sound candidate margin for the f32
-/// pre-ranking pass: `dims` rounding steps for the dot accumulation
-/// (any association order) plus a cushion for the narrowing of inputs,
-/// the multiply-by-two, and the subtraction. Each step contributes at
-/// most one half-ulp (`2⁻²⁴`) relative error in f32.
-pub fn f32_rank_slack(dims: usize) -> f64 {
-    const F32_HALF_ULP: f64 = 1.0 / 16_777_216.0; // 2⁻²⁴
-    (dims as f64 + 8.0) * 2.0 * F32_HALF_ULP
-}
-
 // == Scalar backend (the parity reference) ==============================
 
 mod scalar {
@@ -876,25 +804,6 @@ mod portable {
         }
         out
     }
-
-    /// f32 pre-ranking scores; no parity contract, plain accumulation
-    /// the autovectorizer is free to widen.
-    pub(super) fn fill_scores_f32(
-        centroids: &[f32],
-        sm: &[f32],
-        dims: usize,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &centroids[i * dims..i * dims + dims];
-            let mut acc = 0.0f32;
-            for (xv, cv) in x.iter().zip(row) {
-                acc += xv * cv;
-            }
-            *o = sm[i] - 2.0 * acc;
-        }
-    }
 }
 
 // == AVX2 / AVX-512 backends ============================================
@@ -902,9 +811,8 @@ mod portable {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m512d, _mm256_add_pd, _mm256_add_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_max_pd,
-        _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_setzero_pd, _mm256_setzero_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm512_add_pd, _mm512_broadcast_f64x4,
+        __m512d, _mm256_add_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd, _mm512_broadcast_f64x4,
         _mm512_castpd256_pd512, _mm512_insertf64x4, _mm512_max_pd, _mm512_mul_pd, _mm512_set1_pd,
         _mm512_setzero_pd, _mm512_storeu_pd, _mm512_sub_pd,
     };
@@ -1182,38 +1090,6 @@ mod x86 {
             out.offer::<SCORE>(i, dist, sim, corr);
         }
         out
-    }
-
-    // SAFETY: caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fill_scores_f32_avx2(
-        centroids: &[f32],
-        sm: &[f32],
-        dims: usize,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
-        let chunks = dims / 8;
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &centroids[i * dims..i * dims + dims];
-            let mut acc = _mm256_setzero_ps();
-            for k in 0..chunks {
-                let j = 8 * k;
-                // In-bounds: j + 7 < 8 * chunks <= dims.
-                let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-                let vc = _mm256_loadu_ps(row.as_ptr().add(j));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(vx, vc));
-            }
-            let mut l = [0.0f32; 8];
-            _mm256_storeu_ps(l.as_mut_ptr(), acc);
-            let mut tail = 0.0f32;
-            for j in 8 * chunks..dims {
-                tail += x[j] * row[j];
-            }
-            let [l0, l1, l2, l3, l4, l5, l6, l7] = l;
-            let dp = (((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))) + tail;
-            *o = sm[i] - 2.0 * dp;
-        }
     }
 }
 
@@ -1596,35 +1472,6 @@ mod tests {
                 0.0f64.to_bits(),
                 "{be:?} credit not clamped"
             );
-        }
-    }
-
-    #[test]
-    fn f32_scores_close_to_f64_scores() {
-        let dims = 9usize;
-        let rows = 12usize;
-        let mut st = 0x3c3c_u64;
-        let centroids = vec_of(rows * dims, &mut st);
-        let sm = vec_of(rows, &mut st);
-        let x = vec_of(dims, &mut st);
-        let mut c32 = Vec::new();
-        let mut sm32 = Vec::new();
-        let mut x32 = Vec::new();
-        narrow_into(&mut c32, &centroids);
-        narrow_into(&mut sm32, &sm);
-        narrow_into(&mut x32, &x);
-        let mut out = vec![0.0f32; rows];
-        for be in usable() {
-            fill_scores_f32_with(be, &c32, &sm32, dims, &x32, &mut out);
-            for (i, s32) in out.iter().enumerate() {
-                let row = &centroids[i * dims..i * dims + dims];
-                let exact = sm[i] - 2.0 * dot_with(Backend::Scalar, x.as_slice(), row);
-                let bound = f32_rank_slack(dims) * (exact.abs() + 8.0) + 1e-6;
-                assert!(
-                    (f64::from(*s32) - exact).abs() <= bound,
-                    "{be:?} row {i}: {s32} vs {exact}"
-                );
-            }
         }
     }
 

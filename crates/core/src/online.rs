@@ -43,8 +43,8 @@ pub trait OnlineClusterer: Send {
     ///
     /// Semantically identical to calling [`insert`] in a loop — the default
     /// implementation does exactly that — but implementations amortise
-    /// per-call setup (kernel synchronisation, buffer reservation) over the
-    /// block. The sharded engine routes `push_slice` chunks through this.
+    /// per-call setup (buffer reservation) over the block. The sharded
+    /// engine routes `push_slice` chunks through this.
     ///
     /// [`insert`]: OnlineClusterer::insert
     fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
@@ -71,8 +71,7 @@ pub trait OnlineClusterer: Send {
     ///
     /// This powers novelty detection: the engine compares the pre-insertion
     /// isolation of each arrival against a running baseline. UMicro and
-    /// CluStream answer with one sweep of their cluster kernel when it is
-    /// live, and fall back to a per-summary loop otherwise.
+    /// CluStream answer with one sweep of their cluster kernel.
     fn isolation(&self, point: &UncertainPoint) -> Option<f64>;
 
     /// Processes a mini-batch like [`insert_batch`], appending one

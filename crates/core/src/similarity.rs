@@ -100,7 +100,8 @@ impl GlobalVariance {
     /// `out`, using `f64::INFINITY` as the sentinel for dimensions at or
     /// below the variance floor. The kernel's dimension-counting ranking
     /// consumes this: an infinite coefficient forces the per-dimension
-    /// credit to clamp to zero, reproducing the scalar path's skip.
+    /// credit to clamp to zero, reproducing
+    /// [`dimension_counting_similarity`]'s skip.
     pub fn inverse_coefficients_into(&self, thresh: f64, out: &mut [f64]) {
         debug_assert!(thresh > 0.0);
         debug_assert_eq!(out.len(), self.variances.len());

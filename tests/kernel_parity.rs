@@ -1,17 +1,23 @@
 //! Property-based parity tests for the SoA distance kernel: the packed
 //! kernel must rank the same nearest cluster and report the same distances
-//! as the scalar `expected_sq_distance` path, within 1e-9 relative, across
-//! random streams for UMicro, DecayedUMicro and CluStream — including after
+//! as the scalar Lemma functions (`expected_sq_distance`,
+//! `dimension_counting_similarity`), within 1e-9 relative, across random
+//! streams for UMicro, DecayedUMicro and CluStream — including after
 //! budget-driven merges and retirements and after decay synchronisation
-//! marks the kernel stale. Novelty isolation read off the kernel sweep must
-//! match the scalar `corrected_sq_distance` reference within 1e-12.
+//! rebuilds the kernel. Novelty isolation read off the kernel sweep must
+//! match the scalar `corrected_sq_distance` reference within 1e-12, also
+//! straight after every bulk rebuild (restore, state import, decay
+//! synchronisation, k-means seeding).
 
 use clustream::{CluStream, CluStreamConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use umicro::distance::{corrected_sq_distance, expected_sq_distance};
 use umicro::kernel::simd::{self, Backend};
-use umicro::{DecayedUMicro, Ecf, OnlineClusterer, UMicro, UMicroConfig};
+use umicro::similarity::{dimension_counting_similarity, GlobalVariance};
+use umicro::{
+    ClusterKernel, DecayedUMicro, Ecf, MicroCluster, OnlineClusterer, UMicro, UMicroConfig,
+};
 use ustream_common::UncertainPoint;
 
 const DIMS: usize = 3;
@@ -92,14 +98,61 @@ fn seeded_stream(dims: usize, len: usize, seed: u64) -> Vec<UncertainPoint> {
         .collect()
 }
 
+/// `√ min` of per-cluster squared distances, `None` when none is finite.
+fn sqrt_min(sq: impl Iterator<Item = f64>) -> Option<f64> {
+    let best = sq.fold(f64::INFINITY, f64::min);
+    best.is_finite().then(|| best.sqrt())
+}
+
 /// The scalar isolation reference: `√ minᵢ corrected_sq_distance`, `None`
 /// when no cluster is a finite distance away.
 fn reference_isolation(point: &UncertainPoint, clusters: &[(u64, Ecf)]) -> Option<f64> {
-    let best = clusters
-        .iter()
-        .map(|(_, ecf)| corrected_sq_distance(point, ecf))
-        .fold(f64::INFINITY, f64::min);
-    best.is_finite().then(|| best.sqrt())
+    sqrt_min(
+        clusters
+            .iter()
+            .map(|(_, ecf)| corrected_sq_distance(point, ecf)),
+    )
+}
+
+/// Dimension-counting threshold of the parity configurations.
+const THRESH: f64 = 2.0;
+
+/// The kernel's dimension-counting winner must be the scalar argmax of
+/// [`dimension_counting_similarity`] over `clusters`, with the coefficients
+/// derived from `variances` through the public [`GlobalVariance`] API.
+fn check_dimension_counting(
+    kernel: &ClusterKernel,
+    clusters: &[MicroCluster],
+    variances: &[f64],
+    probes: &[UncertainPoint],
+) {
+    prop_assert_eq!(kernel.len(), clusters.len());
+    let mut global = GlobalVariance::new(variances.len());
+    global.restore_variances(variances);
+    let mut inv = vec![0.0; variances.len()];
+    global.inverse_coefficients_into(THRESH, &mut inv);
+    for probe in probes {
+        let scalar: Vec<f64> = clusters
+            .iter()
+            .map(|c| dimension_counting_similarity(probe, &c.ecf, &global, THRESH))
+            .collect();
+        let Some((idx, sim)) =
+            kernel.best_by_dimension_counting(probe.values(), probe.errors(), &inv)
+        else {
+            prop_assert!(clusters.is_empty());
+            continue;
+        };
+        let max_scalar = scalar.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!(
+            close(sim, max_scalar),
+            "similarity: kernel {sim} vs scalar max {max_scalar}"
+        );
+        prop_assert!(
+            close(scalar[idx], max_scalar),
+            "kernel picked cluster {idx} at scalar {} but max is {max_scalar}",
+            scalar[idx]
+        );
+    }
 }
 
 fn assert_isolation_close(got: Option<f64>, want: Option<f64>, what: &str) {
@@ -152,7 +205,7 @@ proptest! {
         for p in &stream {
             alg.insert(p);
         }
-        let kernel = alg.kernel_synced().clone();
+        let kernel = alg.kernel();
         let clusters = alg.micro_clusters();
         prop_assert_eq!(kernel.len(), clusters.len());
         for probe in &probes {
@@ -176,24 +229,34 @@ proptest! {
         }
     }
 
-    /// Disabling the kernel and re-enabling it must leave the insertion
-    /// trajectory identical to an always-scalar run: the kernel path is an
-    /// implementation detail, not a semantic switch.
+    /// Dimension-counting ranking: the kernel's fused sweep picks the
+    /// scalar argmax of the §II-B similarity on UMicro, and on
+    /// DecayedUMicro after a mid-stream `synchronize` rebuilt its kernel.
     #[test]
-    fn umicro_trajectory_independent_of_kernel(stream in arb_points(4, 40)) {
-        let mut with_kernel = UMicro::new(UMicroConfig::new(4, DIMS).unwrap());
-        let mut scalar_only = UMicro::new(UMicroConfig::new(4, DIMS).unwrap());
-        scalar_only.set_kernel_enabled(false);
-        for p in &stream {
-            let a = with_kernel.insert(p);
-            let b = scalar_only.insert(p);
-            prop_assert_eq!(a, b, "diverged at t={}", p.timestamp());
+    fn dimension_counting_matches_scalar(
+        head in arb_points(4, 30),
+        tail in arb_points(0, 20),
+        probes in arb_points(1, 6),
+    ) {
+        let mut cfg = UMicroConfig::new(4, DIMS).unwrap().with_dimension_counting(THRESH);
+        cfg.variance_refresh_interval = 6;
+        let mut alg = UMicro::new(cfg.clone());
+        for p in head.iter().chain(&tail) {
+            alg.insert(p);
         }
-        prop_assert_eq!(with_kernel.micro_clusters().len(), scalar_only.micro_clusters().len());
-        for (x, y) in with_kernel.micro_clusters().iter().zip(scalar_only.micro_clusters()) {
-            prop_assert_eq!(x.id, y.id);
-            prop_assert_eq!(x.ecf.cf1(), y.ecf.cf1());
+        check_dimension_counting(alg.kernel(), alg.micro_clusters(), alg.global_variances(), &probes);
+
+        let mut decayed = DecayedUMicro::with_half_life(cfg, 300.0);
+        for p in &head {
+            decayed.insert(p);
         }
+        let mid = head.iter().map(|p| p.timestamp()).max().unwrap_or(0) + 50;
+        decayed.synchronize(mid);
+        for p in &tail {
+            decayed.insert(p);
+        }
+        let variances = decayed.export_state().variances;
+        check_dimension_counting(decayed.kernel(), decayed.micro_clusters(), &variances, &probes);
     }
 
     /// Batched insertion must follow the exact same trajectory as the
@@ -210,8 +273,8 @@ proptest! {
     }
 
     /// DecayedUMicro: a mid-stream `synchronize` rescales every cluster and
-    /// marks the kernel stale; after the rebuild the kernel must still match
-    /// the scalar distances over the decayed statistics.
+    /// rebuilds the kernel; the kernel must still match the scalar
+    /// distances over the decayed statistics.
     #[test]
     fn decayed_kernel_matches_scalar_after_synchronize(
         head in arb_points(3, 20),
@@ -227,7 +290,7 @@ proptest! {
         for p in &tail {
             alg.insert(p);
         }
-        let kernel = alg.kernel_synced().clone();
+        let kernel = alg.kernel();
         let clusters = alg.micro_clusters();
         prop_assert_eq!(kernel.len(), clusters.len());
         for probe in &probes {
@@ -260,7 +323,7 @@ proptest! {
         for p in &stream {
             alg.insert(p);
         }
-        let kernel = alg.kernel_synced().clone();
+        let kernel = alg.kernel();
         let clusters = alg.micro_clusters();
         prop_assert_eq!(kernel.len(), clusters.len());
         for probe in &probes {
@@ -429,23 +492,50 @@ proptest! {
         }
     }
 
-    /// Opt-in f32 ranking (single-precision scan, exact-f64 re-check of
-    /// surviving candidates) must follow the *bit-identical* insertion
-    /// trajectory: same outcomes, same ids, same CF1 moments.
+    /// Every bulk edit rebuilds the kernel on the spot: `isolation` straight
+    /// after `restore`, `import_state`, `synchronize` and `seed_with_kmeans`
+    /// (no insert in between) matches the scalar reference over the new
+    /// cluster set, and the kernel mirrors that set row for row.
     #[test]
-    fn umicro_f32_rank_trajectory_identical(stream in arb_points(4, 60)) {
-        let mut exact = UMicro::new(UMicroConfig::new(4, DIMS).unwrap());
-        let mut fast = UMicro::new(UMicroConfig::new(4, DIMS).unwrap());
-        fast.set_f32_rank(true);
+    fn isolation_fresh_after_bulk_rebuilds(
+        dims in arb_awkward_dims(),
+        len in 8usize..48,
+        drift in 0u64..1500,
+        seed in 0u64..u64::MAX,
+    ) {
+        let stream = seeded_stream(dims, len, seed);
+        let probes = seeded_stream(dims, 13, seed ^ 0x5eed);
+        let cfg = UMicroConfig::new(5, dims).unwrap();
+        let mut source = UMicro::new(cfg.clone());
         for p in &stream {
-            let a = exact.insert(p);
-            let b = fast.insert(p);
-            prop_assert_eq!(a, b, "diverged at t={}", p.timestamp());
+            source.insert(p);
         }
-        prop_assert_eq!(exact.micro_clusters().len(), fast.micro_clusters().len());
-        for (x, y) in exact.micro_clusters().iter().zip(fast.micro_clusters()) {
-            prop_assert_eq!(x.id, y.id);
-            prop_assert_eq!(x.ecf.cf1(), y.ecf.cf1());
+        let restored = UMicro::restore(cfg.clone(), &source.snapshot());
+        let mut imported = UMicro::new(cfg.clone());
+        imported.import_state(&source.export_state()).unwrap();
+        let mut decayed = DecayedUMicro::with_half_life(cfg, 40.0);
+        for p in &stream {
+            decayed.insert(p);
+        }
+        decayed.synchronize(len as u64 + drift);
+        let finite: Vec<UncertainPoint> =
+            stream.iter().filter(|p| p.values_finite()).cloned().collect();
+        let mut seeded = CluStream::new(CluStreamConfig::new(5, dims).unwrap());
+        seeded.seed_with_kmeans(&finite, seed);
+
+        prop_assert_eq!(restored.kernel().len(), restored.micro_clusters().len());
+        prop_assert_eq!(imported.kernel().len(), imported.micro_clusters().len());
+        prop_assert_eq!(decayed.kernel().len(), decayed.micro_clusters().len());
+        prop_assert_eq!(seeded.kernel().len(), seeded.micro_clusters().len());
+        for (i, p) in probes.iter().enumerate() {
+            for (what, alg) in [("restore", &restored), ("import_state", &imported)] {
+                let want = reference_isolation(p, &OnlineClusterer::micro_clusters(alg));
+                assert_isolation_close(alg.isolation(p), want, &format!("{what} #{i}"));
+            }
+            let want = reference_isolation(p, &OnlineClusterer::micro_clusters(&decayed));
+            assert_isolation_close(decayed.isolation(p), want, &format!("synchronize #{i}"));
+            let want = sqrt_min(seeded.micro_clusters().iter().map(|c| c.cf.sq_distance_to(p.values())));
+            assert_isolation_close(seeded.isolation(p), want, &format!("seed_with_kmeans #{i}"));
         }
     }
 

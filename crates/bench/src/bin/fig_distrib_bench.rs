@@ -4,7 +4,7 @@
 //! Boots a real coordinator on an ephemeral port, attaches `--sites`
 //! sites, and drives a deterministic interleaved stream through them over
 //! TCP. The delta cost is what the sites actually wrote to their sockets
-//! (USRV header + JSON payload, retries and duplicates included). The
+//! (USRV header + binary payload, retries and duplicates included). The
 //! raw-forwarding baseline frames the *same* point batches with the same
 //! codec at the same cadence — batched per epoch, which flatters the
 //! baseline relative to per-point forwarding.
@@ -34,7 +34,7 @@ use std::time::Duration;
 use umicro::{Ecf, UMicroConfig};
 use ustream_bench::Args;
 use ustream_common::backoff::splitmix64;
-use ustream_common::UncertainPoint;
+use ustream_common::{codec_struct, UncertainPoint};
 use ustream_distrib::{Coordinator, CoordinatorConfig, DurabilityPolicy, Site, SiteConfig};
 use ustream_engine::EngineBuilder;
 use ustream_serve::protocol::encode_message;
@@ -58,36 +58,27 @@ fn point(t: u64, dims: usize, seed: u64) -> UncertainPoint {
 
 /// What raw-point forwarding would put on the wire: the same sub-streams,
 /// framed with the same codec, batched at the same epoch cadence.
-#[derive(Serialize)]
-struct RawPoint {
-    v: Vec<f64>,
-    e: Vec<f64>,
-    t: u64,
-}
-
-#[derive(Serialize)]
 struct RawBatch {
     site: u64,
     seq: u64,
-    points: Vec<RawPoint>,
+    points: Vec<UncertainPoint>,
 }
+
+codec_struct!(RawBatch {
+    site: u64,
+    seq: u64,
+    points: Vec<UncertainPoint>,
+});
 
 fn raw_forwarding_bytes(points: &[UncertainPoint], n_sites: usize, delta_every: usize) -> u64 {
     let mut total = 0u64;
     for site in 0..n_sites {
-        let sub: Vec<&UncertainPoint> = points.iter().skip(site).step_by(n_sites).collect();
+        let sub: Vec<UncertainPoint> = points.iter().skip(site).step_by(n_sites).cloned().collect();
         for (e, chunk) in sub.chunks(delta_every).enumerate() {
             let batch = RawBatch {
                 site: site as u64,
                 seq: e as u64 + 1,
-                points: chunk
-                    .iter()
-                    .map(|p| RawPoint {
-                        v: p.values().to_vec(),
-                        e: p.errors().to_vec(),
-                        t: p.timestamp(),
-                    })
-                    .collect(),
+                points: chunk.to_vec(),
             };
             let frame =
                 encode_message(&batch, usize::MAX >> 1).expect("raw batch frames like a delta");

@@ -11,6 +11,7 @@
 //! the standard deviation of the error on dimension `j`.
 
 pub mod backoff;
+pub mod codec;
 pub mod error;
 pub mod feature;
 pub mod label;
@@ -22,6 +23,7 @@ pub mod stream;
 pub mod time;
 
 pub use backoff::Backoff;
+pub use codec::{Codec, CodecError};
 pub use error::UStreamError;
 pub use feature::{AdditiveFeature, DecayableFeature};
 pub use label::ClassLabel;

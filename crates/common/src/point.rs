@@ -5,6 +5,7 @@
 //! on the `j`-th dimension of `X_i`. Errors have zero mean and are
 //! independent across records and dimensions.
 
+use crate::codec::{put_count, put_f64s, Codec, CodecError, Reader};
 use crate::label::ClassLabel;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -148,6 +149,31 @@ impl UncertainPoint {
     }
 }
 
+/// Layout: `u32` d, then d value bits, d error bits, the `u64` tick and
+/// the optional `u32` label. Like a deserialised point, a decoded one
+/// skips the constructor's ψ checks, so defensive layers re-check.
+impl Codec for UncertainPoint {
+    const MIN_BYTES: usize = 4 + 8 + 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_count(out, self.dims());
+        put_f64s(out, &self.values);
+        put_f64s(out, &self.errors);
+        self.timestamp.encode(out);
+        self.label.map(|l| l.0).encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let d = r.count(16)?;
+        Ok(Self {
+            values: r.f64s(d)?.into_boxed_slice(),
+            errors: r.f64s(d)?.into_boxed_slice(),
+            timestamp: Timestamp::decode(r)?,
+            label: Option::<u32>::decode(r)?.map(ClassLabel),
+        })
+    }
+}
+
 /// A plain deterministic point — values only. Used by substrates (k-means)
 /// that do not care about uncertainty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -284,5 +310,29 @@ mod tests {
         assert_eq!(d.weight, 12.5);
         assert_eq!(d.dims(), 1);
         assert_eq!(d.sq_distance_to(&[4.0]), 9.0);
+    }
+
+    #[test]
+    fn binary_layout_round_trips_bit_for_bit() {
+        let p = UncertainPoint {
+            values: vec![f64::NAN, -0.0, f64::INFINITY].into_boxed_slice(),
+            errors: vec![f64::MIN_POSITIVE / 2.0, f64::NEG_INFINITY, 0.5].into_boxed_slice(),
+            timestamp: u64::MAX,
+            label: Some(ClassLabel(7)),
+        };
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        assert_eq!(bytes.len(), 4 + 2 * 3 * 8 + 8 + 1 + 4);
+        let back: UncertainPoint = crate::codec::decode_exact(&bytes).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.values()), bits(p.values()));
+        assert_eq!(bits(back.errors()), bits(p.errors()));
+        assert_eq!((back.timestamp(), back.label()), (p.timestamp(), p.label()));
+        // A dimension count the payload cannot hold fails before allocating.
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            crate::codec::decode_exact::<UncertainPoint>(&bytes),
+            Err(CodecError::Length { .. })
+        ));
     }
 }

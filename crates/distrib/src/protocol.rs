@@ -3,9 +3,10 @@
 //! Every message crosses the wire inside a USRV frame (length prefix +
 //! fnv1a64 checksum), reusing the serving front-end's codec via
 //! [`ustream_serve::protocol::encode_message`] — the distrib tier adds no
-//! second framing discipline. Payloads are JSON for the same reasons the
-//! serving protocol chose it: self-describing, debuggable with standard
-//! tools, and the frame layer already guards integrity and size.
+//! second framing discipline. Payloads use the binary layout of
+//! [`ustream_common::codec`]: a delta frame carries each changed ECF as
+//! its raw f64 bits, so the coordinator receives exactly the site's
+//! summaries. The WAL keeps its own JSON record format (see [`crate::wal`]).
 //!
 //! ## Delta semantics: replace, not add
 //!
@@ -35,6 +36,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use umicro::Ecf;
+use ustream_common::codec::{Codec, CodecError, Reader};
+use ustream_common::codec_struct;
 use ustream_serve::protocol::{decode_message, encode_message, FrameError};
 
 /// Default frame ceiling — same as the serving protocol's.
@@ -64,7 +67,7 @@ pub struct DeltaFrame {
 }
 
 /// Messages a site (or an observer) sends to the coordinator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SiteRequest {
     /// Session open: tells the coordinator who is calling and asks for its
     /// `last_applied` so a respawned site can resume from its last acked
@@ -90,7 +93,7 @@ pub enum SiteRequest {
 }
 
 /// Coordinator replies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoordResponse {
     /// Reply to [`SiteRequest::Hello`].
     HelloAck {
@@ -133,7 +136,7 @@ pub enum CoordResponse {
 }
 
 /// Liveness and progress of one site as the coordinator sees it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteHealth {
     /// Site id.
     pub site: u64,
@@ -151,7 +154,7 @@ pub struct SiteHealth {
 
 /// What [`crate::Coordinator::resume`] recovered, carried in
 /// [`CoordStats`] so operators can audit a restart after the fact.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordRecovery {
     /// Epochs the loaded snapshot generation covered.
     pub snapshot_epochs: u64,
@@ -169,7 +172,7 @@ pub struct CoordRecovery {
 }
 
 /// Coordinator counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordStats {
     /// Per-site health, ordered by site id.
     pub sites: Vec<SiteHealth>,
@@ -202,6 +205,157 @@ pub struct CoordStats {
     /// Set when this coordinator came up via `--resume`: what the
     /// recovery found. `None` for fresh starts and non-durable runs.
     pub recovery: Option<CoordRecovery>,
+}
+
+codec_struct!(DeltaFrame {
+    site: u64,
+    seq: u64,
+    full: bool,
+    updates: BTreeMap<u64, Ecf>,
+    removes: Vec<u64>,
+    points: u64,
+    last_tick: u64,
+});
+
+codec_struct!(SiteHealth {
+    site: u64,
+    last_applied: u64,
+    points: u64,
+    last_tick: u64,
+    last_heard_ms: u64,
+    suspect: bool,
+});
+
+codec_struct!(CoordRecovery {
+    snapshot_epochs: u64,
+    corrupt_generations_skipped: u64,
+    wal_records_replayed: u64,
+    wal_truncated: bool,
+    wal_bytes_dropped: u64,
+});
+
+codec_struct!(CoordStats {
+    sites: Vec<SiteHealth>,
+    epochs_applied: u64,
+    duplicates_dropped: u64,
+    gaps_nacked: u64,
+    frames_rejected: u64,
+    frames_received: u64,
+    bytes_received: u64,
+    global_clusters: u64,
+    total_points: u64,
+    wal_records: u64,
+    wal_bytes: u64,
+    snapshots_written: u64,
+    last_snapshot_age_epochs: u64,
+    recovery: Option<CoordRecovery>,
+});
+
+impl Codec for SiteRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            SiteRequest::Hello { site } => {
+                out.push(0);
+                site.encode(out);
+            }
+            SiteRequest::Delta { frame } => {
+                out.push(1);
+                frame.encode(out);
+            }
+            SiteRequest::Stats => out.push(2),
+            SiteRequest::GlobalClusters => out.push(3),
+            SiteRequest::SiteClusters { site } => {
+                out.push(4);
+                site.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => SiteRequest::Hello {
+                site: Codec::decode(r)?,
+            },
+            1 => SiteRequest::Delta {
+                frame: Codec::decode(r)?,
+            },
+            2 => SiteRequest::Stats,
+            3 => SiteRequest::GlobalClusters,
+            4 => SiteRequest::SiteClusters {
+                site: Codec::decode(r)?,
+            },
+            tag => {
+                return Err(CodecError::BadTag {
+                    ty: "SiteRequest",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
+impl Codec for CoordResponse {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CoordResponse::HelloAck { last_applied } => {
+                out.push(0);
+                last_applied.encode(out);
+            }
+            CoordResponse::DeltaAck { site, applied } => {
+                out.push(1);
+                site.encode(out);
+                applied.encode(out);
+            }
+            CoordResponse::DeltaNack { site, expected } => {
+                out.push(2);
+                site.encode(out);
+                expected.encode(out);
+            }
+            CoordResponse::Stats { stats } => {
+                out.push(3);
+                stats.encode(out);
+            }
+            CoordResponse::Clusters { clusters } => {
+                out.push(4);
+                clusters.encode(out);
+            }
+            CoordResponse::Error { message } => {
+                out.push(5);
+                message.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => CoordResponse::HelloAck {
+                last_applied: Codec::decode(r)?,
+            },
+            1 => CoordResponse::DeltaAck {
+                site: Codec::decode(r)?,
+                applied: Codec::decode(r)?,
+            },
+            2 => CoordResponse::DeltaNack {
+                site: Codec::decode(r)?,
+                expected: Codec::decode(r)?,
+            },
+            3 => CoordResponse::Stats {
+                stats: Codec::decode(r)?,
+            },
+            4 => CoordResponse::Clusters {
+                clusters: Codec::decode(r)?,
+            },
+            5 => CoordResponse::Error {
+                message: Codec::decode(r)?,
+            },
+            tag => {
+                return Err(CodecError::BadTag {
+                    ty: "CoordResponse",
+                    tag,
+                })
+            }
+        })
+    }
 }
 
 /// Serialises a site request into a complete USRV frame.
@@ -307,8 +461,7 @@ mod tests {
             let bytes = encode_coord_response(&resp, DEFAULT_MAX_FRAME_BYTES).unwrap();
             let payload =
                 ustream_serve::protocol::decode_frame(&bytes, DEFAULT_MAX_FRAME_BYTES).unwrap();
-            let back = decode_coord_response(payload).unwrap();
-            assert_eq!(format!("{back:?}"), format!("{resp:?}"));
+            assert_eq!(decode_coord_response(payload).unwrap(), resp);
         }
     }
 

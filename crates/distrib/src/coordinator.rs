@@ -482,6 +482,25 @@ impl Inner {
                 message: format!("site id {} out of range (max {MAX_SITES})", frame.site),
             });
         }
+        // The wire carries every f64 bit for bit, but the WAL and the
+        // snapshots are JSON, which has no ±∞ or NaN: such a record would
+        // be acked and then lost as "torn" on replay. Refuse it before the
+        // commit point, as a malformed frame.
+        if let Some(id) = frame
+            .updates
+            .iter()
+            .find_map(|(id, e)| (!e.is_finite()).then_some(*id))
+        {
+            self.counters
+                .frames_rejected
+                .fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats counter; readers tolerate lag
+            return Some(CoordResponse::Error {
+                message: format!(
+                    "site {} epoch {}: cluster {id} has a non-finite moment or weight",
+                    frame.site, frame.seq
+                ),
+            });
+        }
         #[cfg(feature = "failpoints")]
         if ustream_engine::failpoints::should_fire(ustream_engine::failpoints::COORD_CRASH_PRE_WAL)
         {

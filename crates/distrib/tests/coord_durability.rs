@@ -8,10 +8,12 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use umicro::{Ecf, UMicroConfig};
 use ustream_common::backoff::splitmix64;
+use ustream_common::codec::{decode_exact, Codec};
 use ustream_common::{UStreamError, UncertainPoint};
+use ustream_distrib::protocol::{decode_coord_response, encode_site_request};
 use ustream_distrib::{
-    wal, Coordinator, CoordinatorConfig, DeltaFrame, DurabilityPolicy, RetryPolicy, Site,
-    SiteConfig, Wal,
+    wal, CoordResponse, Coordinator, CoordinatorConfig, DeltaFrame, DurabilityPolicy, RetryPolicy,
+    Site, SiteConfig, SiteRequest, Transport, Wal,
 };
 use ustream_engine::{EngineBuilder, StreamEngine};
 use ustream_snapshot::{shard_of_id, SHARD_ID_BITS};
@@ -411,6 +413,84 @@ fn bind_refuses_non_empty_wal_until_resumed() {
     coord.shutdown(); // final snapshot + WAL truncation
 
     let coord = Coordinator::bind("127.0.0.1:0", durable_cfg(&base, 4)).unwrap();
+    coord.shutdown();
+    cleanup_base(&base);
+}
+
+/// The wire carries ±∞ bit for bit, but the WAL is JSON and cannot: an
+/// epoch whose ECF moment overflowed (a coordinate near 1e200 squares to
+/// +∞) must be refused before the WAL append, never acked and then lost
+/// as a torn record on replay. Every acked epoch around it survives a kill
+/// and resume.
+#[test]
+fn non_finite_delta_is_refused_and_acked_epochs_survive_resume() {
+    let base = temp_base("non-finite");
+    cleanup_base(&base);
+    let coord = Coordinator::bind("127.0.0.1:0", durable_cfg(&base, 1000)).unwrap();
+    let max = 1 << 20;
+    let mut link = Transport::new(&coord.addr().to_string(), 0, Duration::from_secs(2), max);
+    let mut call = |req: SiteRequest| -> CoordResponse {
+        link.send(&encode_site_request(&req, max).unwrap()).unwrap();
+        decode_coord_response(&link.recv().unwrap().expect("a reply")).unwrap()
+    };
+    let ecf = |seq: u64| Ecf::from_point(&point(seq, 2, 5));
+    let frame = |seq: u64, ecf: Ecf| DeltaFrame {
+        site: 0,
+        seq,
+        full: seq == 1,
+        updates: [(seq, ecf)].into_iter().collect(),
+        removes: Vec::new(),
+        points: seq,
+        last_tick: seq,
+    };
+    // The first CF2 coordinate sits right after the u32 dimension count.
+    let mut bytes = Vec::new();
+    ecf(2).encode(&mut bytes);
+    bytes[4..12].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
+    let overflowed: Ecf = decode_exact(&bytes).unwrap();
+    assert!(!overflowed.is_finite());
+
+    let ack = |applied| CoordResponse::DeltaAck { site: 0, applied };
+    assert_eq!(
+        call(SiteRequest::Delta {
+            frame: frame(1, ecf(1))
+        }),
+        ack(1)
+    );
+    let refused = call(SiteRequest::Delta {
+        frame: frame(2, overflowed),
+    });
+    assert!(
+        matches!(refused, CoordResponse::Error { .. }),
+        "a non-finite epoch must not be acked: {refused:?}"
+    );
+    assert_eq!(
+        call(SiteRequest::Delta {
+            frame: frame(2, ecf(2))
+        }),
+        ack(2)
+    );
+    assert_eq!(
+        call(SiteRequest::Delta {
+            frame: frame(3, ecf(3))
+        }),
+        ack(3)
+    );
+
+    let pre = coord.stats();
+    assert_eq!(pre.frames_rejected, 1);
+    assert_eq!(
+        pre.wal_records, 3,
+        "the refused epoch never reached the WAL"
+    );
+    let held = coord.site_clusters(0);
+    coord.kill();
+
+    let coord = Coordinator::resume("127.0.0.1:0", durable_cfg(&base, 1000)).unwrap();
+    let rec = coord.stats().recovery.clone().unwrap();
+    assert_eq!(rec.wal_records_replayed, 3, "every acked epoch replays");
+    assert!(!rec.wal_truncated, "nothing in the WAL may read as torn");
+    assert_eq!(coord.site_clusters(0), held);
     coord.shutdown();
     cleanup_base(&base);
 }

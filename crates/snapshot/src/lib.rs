@@ -18,6 +18,7 @@
 //! as-is.
 
 pub mod budget;
+pub mod form;
 pub mod merge;
 pub mod persist;
 pub mod pyramid;
@@ -25,6 +26,7 @@ pub mod store;
 pub mod tracker;
 
 pub use budget::{BudgetReport, SnapshotBudget};
+pub use form::{PackedSnapshot, SnapshotForm};
 pub use merge::{merge_namespaced, namespaced_id, shard_of_id, SHARD_ID_BITS};
 pub use pyramid::{snapshot_order, PyramidConfig};
 pub use store::{ClusterSetSnapshot, SnapshotStore, StoredSnapshot};

@@ -5,26 +5,31 @@
 //! advances, and answer "clusters of the window `(now − h, now]`" by keyed
 //! subtraction. Both the deterministic CluStream feature vector and the
 //! uncertain ECF run through the same tracker — the subtractive property is
-//! all it needs.
+//! all it needs. The [`SnapshotForm`] parameter picks how the pyramid holds
+//! each snapshot between record and query; answers do not depend on it.
 
 use crate::budget::{BudgetReport, SnapshotBudget};
+use crate::form::SnapshotForm;
 use crate::pyramid::PyramidConfig;
 use crate::store::{ClusterSetSnapshot, SnapshotStore};
+use std::marker::PhantomData;
 use ustream_common::{AdditiveFeature, Result, Timestamp, UStreamError};
 
 /// Records snapshots and answers horizon queries for any additive feature.
 #[derive(Debug, Clone)]
-pub struct HorizonTracker<F> {
-    store: SnapshotStore<ClusterSetSnapshot<F>>,
+pub struct HorizonTracker<F, S = ClusterSetSnapshot<F>> {
+    store: SnapshotStore<S>,
     last_recorded: Timestamp,
+    feature: PhantomData<fn() -> F>,
 }
 
-impl<F: AdditiveFeature> HorizonTracker<F> {
+impl<F: AdditiveFeature, S: SnapshotForm<F>> HorizonTracker<F, S> {
     /// Tracker with the given pyramid geometry.
     pub fn new(config: PyramidConfig) -> Self {
         Self {
             store: SnapshotStore::new(config),
             last_recorded: 0,
+            feature: PhantomData,
         }
     }
 
@@ -34,15 +39,16 @@ impl<F: AdditiveFeature> HorizonTracker<F> {
     }
 
     /// The underlying snapshot store (persistence, inspection).
-    pub fn store(&self) -> &SnapshotStore<ClusterSetSnapshot<F>> {
+    pub fn store(&self) -> &SnapshotStore<S> {
         &self.store
     }
 
     /// Installs a memory budget on the underlying store, measured with
-    /// [`ClusterSetSnapshot::approx_bytes`]. See [`SnapshotBudget`].
+    /// [`ClusterSetSnapshot::approx_bytes`] whatever the stored form. See
+    /// [`SnapshotBudget`].
     pub fn set_budget(&mut self, budget: SnapshotBudget) {
         self.store
-            .set_budget(budget, |s: &ClusterSetSnapshot<F>| s.approx_bytes());
+            .set_budget(budget, <S as SnapshotForm<F>>::approx_bytes);
     }
 
     /// Budget accounting of the underlying store.
@@ -52,18 +58,13 @@ impl<F: AdditiveFeature> HorizonTracker<F> {
 
     /// Records the cluster set active at tick `now`.
     pub fn record_snapshot(&mut self, now: Timestamp, snap: ClusterSetSnapshot<F>) {
-        self.store.record(now, snap);
+        self.store.record(now, S::pack(snap));
         self.last_recorded = now;
     }
 
     /// Tick of the most recent recorded snapshot.
     pub fn last_recorded(&self) -> Timestamp {
         self.last_recorded
-    }
-
-    /// The full snapshot at (or just before) `t`.
-    pub fn clusters_at(&self, t: Timestamp) -> Option<&ClusterSetSnapshot<F>> {
-        self.store.find_at_or_before(t).map(|s| &s.data)
     }
 
     /// The cluster statistics of the window `(now − h, now]` via keyed
@@ -74,13 +75,22 @@ impl<F: AdditiveFeature> HorizonTracker<F> {
             .find_at_or_before(now)
             .ok_or(UStreamError::HorizonUnavailable { requested: h })?;
         let base = self.store.horizon_base(current.time, h)?;
-        Ok(current.data.subtract_past(&base.data))
+        let (current, base) = (current.data.unpack()?, base.data.unpack()?);
+        Ok(current.subtract_past(&base))
+    }
+}
+
+impl<F: AdditiveFeature> HorizonTracker<F> {
+    /// The full snapshot at (or just before) `t`.
+    pub fn clusters_at(&self, t: Timestamp) -> Option<&ClusterSetSnapshot<F>> {
+        self.store.find_at_or_before(t).map(|s| &s.data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::form::PackedSnapshot;
     use serde::{Deserialize, Serialize};
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,6 +149,57 @@ mod tests {
         assert!((window.clusters[&1].n - 64.0).abs() < 1e-9);
         assert!(tracker.clusters_at(256).is_some());
         assert!(tracker.clusters_at(0).is_none());
+    }
+
+    ustream_common::codec_struct!(Toy {
+        sum: f64,
+        n: f64,
+        t: Timestamp,
+    });
+
+    fn bits(snap: &ClusterSetSnapshot<Toy>) -> Vec<(u64, u64, u64, u64)> {
+        snap.clusters
+            .iter()
+            .map(|(id, f)| (*id, f.sum.to_bits(), f.n.to_bits(), f.t))
+            .collect()
+    }
+
+    /// A packed tracker answers bit for bit what the plain one answers, and
+    /// a count and byte budget evicts the same snapshots from both.
+    #[test]
+    fn packed_form_answers_like_the_plain_form() {
+        let budget = SnapshotBudget {
+            max_bytes: Some(1_500),
+            max_snapshots: Some(12),
+        };
+        let config = PyramidConfig::new(2, 3).unwrap();
+        let mut plain: HorizonTracker<Toy> = HorizonTracker::new(config);
+        let mut packed: HorizonTracker<Toy, PackedSnapshot<Toy>> = HorizonTracker::new(config);
+        plain.set_budget(budget);
+        packed.set_budget(budget);
+        for t in 1..=300u64 {
+            let snap = ClusterSetSnapshot::from_pairs((0..1 + t % 4).map(|id| {
+                let toy = Toy {
+                    sum: t as f64 * 0.1 + id as f64,
+                    n: t as f64,
+                    t,
+                };
+                (id, toy)
+            }));
+            plain.record_snapshot(t, snap.clone());
+            packed.record_snapshot(t, snap);
+            for h in [1, 7, 40, 250] {
+                match (plain.horizon_clusters(t, h), packed.horizon_clusters(t, h)) {
+                    (Ok(a), Ok(b)) => assert_eq!(bits(&a), bits(&b), "tick {t} horizon {h}"),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!("tick {t} horizon {h}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+        let report = plain.budget_report();
+        assert!(report.evictions > 0, "the budget must have evicted");
+        assert_eq!(report, packed.budget_report());
+        assert_eq!(packed.last_recorded(), 300);
     }
 
     #[test]

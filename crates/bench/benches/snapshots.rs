@@ -1,10 +1,11 @@
-//! Pyramidal time-frame costs: snapshot recording, horizon lookup and
-//! subtractive window reconstruction.
+//! Pyramidal time-frame costs: snapshot recording, horizon lookup,
+//! subtractive window reconstruction, and the engine's merge tick.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use umicro::Ecf;
+use umicro::{Ecf, UMicroConfig};
 use ustream_common::UncertainPoint;
+use ustream_engine::EngineBuilder;
 use ustream_snapshot::{ClusterSetSnapshot, PyramidConfig, SnapshotStore};
 
 fn snapshot(dims: usize, clusters: usize, tick: u64) -> ClusterSetSnapshot<Ecf> {
@@ -70,5 +71,43 @@ fn bench_horizon(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_record, bench_horizon);
+/// The merge tick at a distributed site's shape: one shard, d = 8,
+/// 64 micro-clusters and a merge (snapshot + pyramid record) after every
+/// record. One iteration pushes 64 records and waits for them with
+/// `flush()`, so it prices 64 inserts plus 64 merge ticks.
+fn bench_merge_tick(c: &mut Criterion) {
+    const DIMS: usize = 8;
+    let engine = EngineBuilder::new(UMicroConfig::new(64, DIMS).expect("valid config"))
+        .shards(1)
+        .snapshot_every(1)
+        .novelty_factor(None)
+        .build()
+        .expect("engine starts");
+    let mut tick = 0u64;
+    let mut next = move || {
+        tick += 1;
+        let blob = (tick * 7 % 48) as f64 * 4.0;
+        let values = (0..DIMS)
+            .map(|j| blob + j as f64 + (tick % 13) as f64 * 0.05)
+            .collect();
+        UncertainPoint::new(values, vec![0.2; DIMS], tick, None)
+    };
+    for _ in 0..1_024 {
+        engine.push(next()).expect("engine accepts records");
+    }
+    engine.flush();
+    let mut group = c.benchmark_group("merge_tick");
+    group.bench_function("push64_flush_d8_n64", |b| {
+        b.iter(|| {
+            for _ in 0..64 {
+                engine.push(next()).expect("engine accepts records");
+            }
+            engine.flush();
+        })
+    });
+    group.finish();
+    engine.shutdown();
+}
+
+criterion_group!(benches, bench_record, bench_horizon, bench_merge_tick);
 criterion_main!(benches);

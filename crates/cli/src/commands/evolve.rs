@@ -23,7 +23,7 @@ pub fn run(flags: &Flags) -> Result<(), CliError> {
     for p in stream {
         alg.insert(&p);
         now = p.timestamp();
-        hz.record(now, &alg);
+        hz.record(now, &mut alg);
     }
 
     let recent = hz

@@ -31,7 +31,7 @@ pub fn run(flags: &Flags) -> Result<(), CliError> {
     for p in stream {
         alg.insert(&p);
         now = p.timestamp();
-        hz.record(now, &alg);
+        hz.record(now, &mut alg);
     }
     eprintln!(
         "processed up to tick {now}; {} snapshots retained (alpha={alpha}, l={l})",

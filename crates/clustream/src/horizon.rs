@@ -55,7 +55,7 @@ impl CluStreamHorizon {
     ) -> Result<MacroClustering> {
         let window = self.tracker.horizon_clusters(now, h)?;
         Ok(macro_cluster_cfs(
-            window.clusters.iter().map(|(id, f)| (*id, f)),
+            window.clusters.iter().map(|(id, f)| (*id, &**f)),
             k,
             seed,
         ))

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,6 +289,21 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// Transparent: an `Arc<T>` has the layout of the `T` it points to, so a
+/// shared value encodes to the same bytes as an owned one.
+impl<T: Codec> Codec for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn encode(&self, out: &mut Vec<u8>) {
+        T::encode(self, out);
+    }
+    fn encoded_len(&self) -> usize {
+        T::encoded_len(self)
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -396,6 +412,21 @@ mod tests {
         assert_eq!(round_trip(&m), m);
         assert!(round_trip(&true));
         assert_eq!(round_trip(&usize::MAX), usize::MAX);
+    }
+
+    #[test]
+    fn shared_values_encode_like_owned_ones() {
+        let owned: BTreeMap<u64, Vec<f64>> = [(3, vec![-0.0, 2.5])].into_iter().collect();
+        let shared: BTreeMap<u64, Arc<Vec<f64>>> = owned
+            .iter()
+            .map(|(k, v)| (*k, Arc::new(v.clone())))
+            .collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        owned.encode(&mut a);
+        shared.encode(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(shared.encoded_len(), b.len());
+        assert_eq!(round_trip(&shared), shared);
     }
 
     #[test]

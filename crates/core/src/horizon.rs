@@ -60,7 +60,7 @@ impl HorizonAnalyzer {
     ///
     /// Call once per tick (or per snapshot interval); out-of-order calls are
     /// rejected in debug builds by the store's monotonicity assertion.
-    pub fn record(&mut self, now: Timestamp, alg: &UMicro) {
+    pub fn record(&mut self, now: Timestamp, alg: &mut UMicro) {
         self.tracker.record_snapshot(now, alg.snapshot());
     }
 
@@ -87,6 +87,11 @@ impl HorizonAnalyzer {
         self.tracker.horizon_clusters(now, h)
     }
 
+    /// The most recently recorded snapshot. Budgets never evict it.
+    pub fn newest(&self) -> Option<&ClusterSetSnapshot<Ecf>> {
+        self.tracker.newest()
+    }
+
     /// The full micro-cluster snapshot at (or just before) `t`.
     pub fn clusters_at(&self, t: Timestamp) -> Option<&ClusterSetSnapshot<Ecf>> {
         self.tracker.clusters_at(t)
@@ -103,7 +108,7 @@ impl HorizonAnalyzer {
     ) -> Result<MacroClustering> {
         let window = self.horizon_clusters(now, h)?;
         Ok(macro_cluster_ecfs(
-            window.clusters.iter().map(|(id, e)| (*id, e)),
+            window.clusters.iter().map(|(id, e)| (*id, &**e)),
             k,
             seed,
         ))
@@ -129,7 +134,7 @@ mod tests {
         for t in 1..=n {
             let x = if t <= switch { 0.0 } else { 100.0 };
             alg.insert(&pt(x, t));
-            hz.record(t, &alg);
+            hz.record(t, &mut alg);
         }
         (alg, hz)
     }

@@ -76,9 +76,7 @@ impl<T: OnlineClusterer + ?Sized> ClusterQuery for T {
         &mut self,
         _horizon: u64,
     ) -> Result<ClusterSetSnapshot<Self::Summary>, UStreamError> {
-        Ok(ClusterSetSnapshot::from_pairs(
-            OnlineClusterer::micro_clusters(self),
-        ))
+        Ok(OnlineClusterer::live_clusters(self))
     }
 
     fn macro_cluster(&mut self, k: usize, seed: u64) -> MacroClustering {

@@ -126,11 +126,13 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// What the coordinator holds for one site.
+/// What the coordinator holds for one site. Each ECF is allocated once,
+/// when its frame is applied, and shared from then on with the horizon
+/// store and the durable snapshots.
 #[derive(Debug)]
 struct SiteView {
     last_applied: u64,
-    clusters: BTreeMap<u64, Ecf>,
+    clusters: BTreeMap<u64, Arc<Ecf>>,
     points: u64,
     last_tick: u64,
     last_heard: Instant,
@@ -155,7 +157,7 @@ struct SiteSnap {
     last_applied: u64,
     points: u64,
     last_tick: u64,
-    clusters: BTreeMap<u64, Ecf>,
+    clusters: BTreeMap<u64, Arc<Ecf>>,
 }
 
 /// One recorded horizon-store entry of a [`CoordSnapshot`].
@@ -307,7 +309,7 @@ impl Coordinator {
 
         let mut inner = Inner::new(cfg);
         inner.import_snapshot(&snap);
-        for frame in &replayed.frames {
+        for frame in replayed.frames {
             inner.apply_replay(frame);
         }
         inner.recovery = Some(CoordRecovery {
@@ -358,12 +360,7 @@ impl Coordinator {
 
     /// One site's micro-clusters as last applied (site-local ids).
     pub fn site_clusters(&self, site: u64) -> BTreeMap<u64, Ecf> {
-        self.inner
-            .sites
-            .lock()
-            .get(&site)
-            .map(|v| v.clusters.clone())
-            .unwrap_or_default()
+        self.inner.site_clusters(site)
     }
 
     /// `last_applied` for `site` (0 when unknown).
@@ -449,12 +446,12 @@ impl Inner {
 
     /// Applies one frame's content to a site view. Shared by the live
     /// path and WAL replay so both produce bit-identical state.
-    fn merge_into(view: &mut SiteView, frame: &DeltaFrame) {
+    fn merge_into(view: &mut SiteView, frame: DeltaFrame) {
         if frame.full {
             view.clusters.clear();
         }
-        for (id, ecf) in &frame.updates {
-            view.clusters.insert(*id, ecf.clone());
+        for (id, ecf) in frame.updates {
+            view.clusters.insert(id, Arc::new(ecf));
         }
         for id in &frame.removes {
             view.clusters.remove(id);
@@ -549,9 +546,9 @@ impl Inner {
             self.crash();
             return None;
         }
-        Self::merge_into(view, &frame);
         let site = frame.site;
         let applied = frame.seq;
+        Self::merge_into(view, frame);
         let epochs = self.counters.epochs_applied.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: incremented under the sites lock; snapshot export reads it there too
         drop(sites);
 
@@ -578,7 +575,7 @@ impl Inner {
     /// the original application already counted); the horizon-store
     /// cadence re-runs so recordings the crash wiped are reconstructed
     /// from identical state.
-    fn apply_replay(&self, frame: &DeltaFrame) -> bool {
+    fn apply_replay(&self, frame: DeltaFrame) -> bool {
         let mut sites = self.sites.lock();
         let view = sites.entry(frame.site).or_insert_with(SiteView::new);
         if frame.seq <= view.last_applied {
@@ -696,12 +693,26 @@ impl Inner {
         let mut merged = BTreeMap::new();
         for (site, view) in sites.iter() {
             for (local, ecf) in &view.clusters {
-                merged.insert(global_cluster_id(*site, *local), ecf.clone());
+                merged.insert(global_cluster_id(*site, *local), Ecf::clone(ecf));
             }
         }
         merged
     }
 
+    fn site_clusters(&self, site: u64) -> BTreeMap<u64, Ecf> {
+        self.sites
+            .lock()
+            .get(&site)
+            .map_or_else(BTreeMap::new, |v| {
+                v.clusters
+                    .iter()
+                    .map(|(id, ecf)| (*id, Ecf::clone(ecf)))
+                    .collect()
+            })
+    }
+
+    /// Files the merged view in the horizon store. The snapshot shares
+    /// every ECF with the site views, so a recording copies pointers only.
     fn record_snapshot(&self) {
         let (now, merged) = {
             let sites = self.sites.lock();
@@ -709,7 +720,7 @@ impl Inner {
             let mut merged = BTreeMap::new();
             for (site, view) in sites.iter() {
                 for (local, ecf) in &view.clusters {
-                    merged.insert(global_cluster_id(*site, *local), ecf.clone());
+                    merged.insert(global_cluster_id(*site, *local), Arc::clone(ecf));
                 }
             }
             (now, merged)
@@ -796,12 +807,7 @@ impl Inner {
                 clusters: self.global_clusters(),
             }),
             SiteRequest::SiteClusters { site } => Some(CoordResponse::Clusters {
-                clusters: self
-                    .sites
-                    .lock()
-                    .get(&site)
-                    .map(|v| v.clusters.clone())
-                    .unwrap_or_default(),
+                clusters: self.site_clusters(site),
             }),
         }
     }
@@ -1046,7 +1052,7 @@ mod tests {
 
         let rebuilt = inner();
         for frame in wal::replay(&path).unwrap().frames {
-            rebuilt.apply_replay(&frame);
+            rebuilt.apply_replay(frame);
         }
         assert_eq!(live.global_clusters(), rebuilt.global_clusters());
         assert_eq!(
@@ -1056,6 +1062,23 @@ mod tests {
             "every WAL record applied exactly once"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A coordinator snapshot written before site views and horizon
+    /// recordings shared their ECFs decodes, and encodes back to the very
+    /// same bytes.
+    #[test]
+    fn unshared_layout_fixture_round_trips_byte_for_byte() {
+        let bytes = include_bytes!("../tests/fixtures/coord_snapshot_v1.snap");
+        let snap = decode_snapshot(bytes).unwrap();
+        assert_eq!(snap.sites.len(), 2);
+        assert!(!snap.horizon.is_empty());
+        assert_eq!(encode_snapshot(&snap).unwrap(), bytes.to_vec());
+        // A coordinator loaded from it writes it back unchanged.
+        let c = inner();
+        c.import_snapshot(&snap);
+        let again = encode_snapshot(&c.export_snapshot(&c.sites.lock())).unwrap();
+        assert_eq!(again, bytes.to_vec());
     }
 
     fn arb_ecf() -> impl Strategy<Value = Ecf> {
@@ -1077,19 +1100,15 @@ mod tests {
                 last_applied,
                 points,
                 last_tick,
-                clusters: kv.into_iter().collect(),
+                clusters: kv.into_iter().map(|(id, e)| (id, Arc::new(e))).collect(),
             });
         let entry =
             (1u64..10_000, proptest::collection::vec(arb_ecf(), 0..6)).prop_map(|(time, ecfs)| {
                 HorizonEntry {
                     time,
-                    clusters: ClusterSetSnapshot {
-                        clusters: ecfs
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, e)| (i as u64, e))
-                            .collect(),
-                    },
+                    clusters: ClusterSetSnapshot::from_pairs(
+                        ecfs.into_iter().enumerate().map(|(i, e)| (i as u64, e)),
+                    ),
                 }
             });
         (

@@ -9,9 +9,13 @@
 //! snapshots the live map, and diffs — every cluster whose ECF differs
 //! bit-for-bit from `acked` ships its *full current state* (replace
 //! semantics, see the protocol module), every id that vanished ships as a
-//! remove. Because the diff is against the acked map (not "since last
-//! attempt"), a failed or dropped epoch is never lost: its changes simply
-//! stay dirty and ride the next epoch.
+//! remove. Both maps hold the engine's shared ECF pointers
+//! ([`StreamEngine::live_clusters`]), so a cluster no insert touched since
+//! the last ack is the same allocation on both sides and the diff skips it
+//! without comparing a single moment; only the changed clusters are
+//! copied, into the frame. Because the diff is against the acked map (not
+//! "since last attempt"), a failed or dropped epoch is never lost: its
+//! changes simply stay dirty and ride the next epoch.
 //!
 //! ## Crash recovery
 //!
@@ -30,10 +34,19 @@ use crate::protocol::{
     decode_coord_response, encode_site_request, CoordResponse, DeltaFrame, SiteRequest, MAX_SITES,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 use umicro::Ecf;
 use ustream_common::{Backoff, Result, UStreamError, UncertainPoint};
 use ustream_engine::{EngineBuilder, EngineConfig, StreamEngine};
+
+/// A frame's copy of a shared cluster map.
+fn owned(clusters: &BTreeMap<u64, Arc<Ecf>>) -> BTreeMap<u64, Ecf> {
+    clusters
+        .iter()
+        .map(|(id, ecf)| (*id, Ecf::clone(ecf)))
+        .collect()
+}
 
 /// Bounded retry policy of the delta shipper (and the handshake).
 #[derive(Debug, Clone)]
@@ -157,7 +170,7 @@ pub struct Site {
     transport: Transport,
     cfg: SiteConfig,
     /// The exact map the coordinator acknowledged last.
-    acked: BTreeMap<u64, Ecf>,
+    acked: BTreeMap<u64, Arc<Ecf>>,
     acked_seq: u64,
     /// Next frame must carry the complete map (post-handshake resync).
     pending_full: bool,
@@ -358,30 +371,31 @@ impl Site {
     /// [`UStreamError::RetriesExhausted`] when every attempt failed; the
     /// dirty state is retained and ships with the next epoch.
     pub fn sync(&mut self) -> Result<u64> {
-        let Some(frame) = self.extract_delta() else {
+        let Some((frame, current)) = self.extract_delta() else {
             return Ok(self.acked_seq);
         };
-        self.ship(frame)
+        self.ship(frame, current)
     }
 
     /// Flushes the engine and diffs the live cluster map against the
-    /// acked map. `None` when nothing changed and no resync is pending.
-    fn extract_delta(&mut self) -> Option<DeltaFrame> {
+    /// acked map. Returns the frame and the map it brings the coordinator
+    /// to; `None` when nothing changed and no resync is pending.
+    fn extract_delta(&mut self) -> Option<(DeltaFrame, BTreeMap<u64, Arc<Ecf>>)> {
         self.engine.flush();
-        let current: BTreeMap<u64, Ecf> = self
-            .engine
-            .micro_clusters()
-            .into_iter()
-            .map(|mc| (mc.id, mc.ecf))
-            .collect();
+        let current = self.engine.live_clusters().clusters;
         let (updates, removes, full) = if self.pending_full {
             self.stats.full_resyncs += 1;
-            (current, Vec::new(), true)
+            (owned(&current), Vec::new(), true)
         } else {
             let updates: BTreeMap<u64, Ecf> = current
                 .iter()
-                .filter(|(id, ecf)| self.acked.get(*id) != Some(*ecf))
-                .map(|(id, ecf)| (*id, ecf.clone()))
+                .filter(|(id, ecf)| {
+                    !self
+                        .acked
+                        .get(*id)
+                        .is_some_and(|a| Arc::ptr_eq(a, ecf) || a == *ecf)
+                })
+                .map(|(id, ecf)| (*id, Ecf::clone(ecf)))
                 .collect();
             let removes: Vec<u64> = self
                 .acked
@@ -394,7 +408,7 @@ impl Site {
             }
             (updates, removes, false)
         };
-        Some(DeltaFrame {
+        let frame = DeltaFrame {
             site: self.cfg.site_id,
             seq: self.acked_seq + 1,
             full,
@@ -402,33 +416,32 @@ impl Site {
             removes,
             points: self.engine.points_processed(),
             last_tick: self.engine.stats().last_tick,
-        })
+        };
+        Some((frame, current))
     }
 
-    /// Rebuilds the pending epoch as a full-resync frame at `seq`.
-    fn rebuild_full(&mut self, seq: u64) -> DeltaFrame {
+    /// Rebuilds the pending epoch as a full-resync frame at `seq`, with
+    /// the map it brings the coordinator to.
+    fn rebuild_full(&mut self, seq: u64) -> (DeltaFrame, BTreeMap<u64, Arc<Ecf>>) {
         self.stats.full_resyncs += 1;
         self.pending_full = true;
         self.acked_seq = seq.saturating_sub(1);
-        let current: BTreeMap<u64, Ecf> = self
-            .engine
-            .micro_clusters()
-            .into_iter()
-            .map(|mc| (mc.id, mc.ecf))
-            .collect();
-        DeltaFrame {
+        let current = self.engine.live_clusters().clusters;
+        let frame = DeltaFrame {
             site: self.cfg.site_id,
             seq,
             full: true,
-            updates: current,
+            updates: owned(&current),
             removes: Vec::new(),
             points: self.engine.points_processed(),
             last_tick: self.engine.stats().last_tick,
-        }
+        };
+        (frame, current)
     }
 
-    /// Ships `frame` until acked, following nacks into full resyncs.
-    fn ship(&mut self, mut frame: DeltaFrame) -> Result<u64> {
+    /// Ships `frame` until acked, following nacks into full resyncs. On
+    /// the ack the coordinator holds `current`, which becomes `acked`.
+    fn ship(&mut self, mut frame: DeltaFrame, mut current: BTreeMap<u64, Arc<Ecf>>) -> Result<u64> {
         let mut backoff = self.backoff();
         let mut last_err: Option<UStreamError> = None;
         for attempt in 0..=self.cfg.retry.max_attempts {
@@ -439,16 +452,7 @@ impl Site {
             }
             match self.delta_roundtrip(&frame) {
                 Ok(Verdict::Acked) => {
-                    if frame.full {
-                        self.acked = frame.updates.clone();
-                    } else {
-                        for (id, ecf) in &frame.updates {
-                            self.acked.insert(*id, ecf.clone());
-                        }
-                        for id in &frame.removes {
-                            self.acked.remove(id);
-                        }
-                    }
+                    self.acked = current;
                     self.acked_seq = frame.seq;
                     self.pending_full = false;
                     self.stats.epochs_acked += 1;
@@ -458,7 +462,7 @@ impl Site {
                 Ok(Verdict::Resync { expected }) => {
                     // Not a transport fault: rebuild and retry immediately
                     // on the live connection (no backoff advance).
-                    frame = self.rebuild_full(expected);
+                    (frame, current) = self.rebuild_full(expected);
                 }
                 Err(e) => last_err = Some(e),
             }

@@ -502,6 +502,18 @@ mod tests {
     use super::*;
     use umicro::UMicroConfig;
 
+    /// A checkpoint written before snapshots shared their ECFs (two
+    /// decayed shards, merged snapshots in the pyramid) still decodes, and
+    /// encodes back to the very same bytes.
+    #[test]
+    fn unshared_layout_fixture_round_trips_byte_for_byte() {
+        let bytes = include_bytes!("../tests/fixtures/engine_checkpoint_v1.ckpt");
+        let ckpt = decode(bytes).unwrap();
+        assert_eq!(ckpt.shards.len(), 2);
+        assert!(!ckpt.snapshots.is_empty());
+        assert_eq!(encode(&ckpt).unwrap(), bytes.to_vec());
+    }
+
     fn tiny_checkpoint() -> EngineCheckpoint {
         EngineCheckpoint {
             config: EngineConfig::new(UMicroConfig::new(4, 2).unwrap()),

@@ -13,7 +13,10 @@
 //!   snapshot, keeping at least one reachable base per order for horizon
 //!   queries;
 //! * once every ring is down to one snapshot, the globally oldest snapshot
-//!   is dropped — the hard budget always wins.
+//!   is dropped — the hard budget wins over retention;
+//! * the newest snapshot is never dropped, even when it alone exceeds the
+//!   ceiling: it is the current cluster set, the base of every query and
+//!   the seed a respawned engine shard restores from.
 //!
 //! Trimming a ring below `α^l + 1` weakens the paper's horizon-error
 //! guarantee for horizons that resolve through that order: retaining `m`

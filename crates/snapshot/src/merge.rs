@@ -52,11 +52,19 @@ pub fn local_id_of(id: u64) -> u64 {
 /// cluster id with its shard index. The fold is exact: no summaries are
 /// combined or dropped, so every additive statistic (weight, first and
 /// second moments, error moments) of the union equals the sum over shards.
+///
+/// Features move by pointer, never by copy. Shard 0's ids are their own
+/// namespaced ids, so its map becomes the merged map as it is, and a
+/// single-shard engine merges without rebuilding anything.
 pub fn merge_namespaced<F: AdditiveFeature>(
     parts: impl IntoIterator<Item = (usize, ClusterSetSnapshot<F>)>,
 ) -> ClusterSetSnapshot<F> {
     let mut merged = ClusterSetSnapshot::default();
     for (shard, part) in parts {
+        if shard == 0 && merged.is_empty() {
+            merged = part;
+            continue;
+        }
         for (local, feature) in part.clusters {
             merged.clusters.insert(namespaced_id(shard, local), feature);
         }
@@ -125,6 +133,22 @@ mod tests {
         // Same local id on different shards must not collide.
         assert!(merged.clusters.contains_key(&0));
         assert!(merged.clusters.contains_key(&namespaced_id(1, 0)));
+    }
+
+    #[test]
+    fn merge_moves_features_by_pointer() {
+        let a = ClusterSetSnapshot::from_pairs([(4u64, cf(1.0, 2)), (9, cf(2.0, 1))]);
+        let b = ClusterSetSnapshot::from_pairs([(4u64, cf(3.0, 1))]);
+        // Shard 1 first: shard 0's ids must still land unchanged.
+        let merged = merge_namespaced([(1, b.clone()), (0, a.clone())]);
+        assert_eq!(merged.len(), 3);
+        for (id, f) in &a.clusters {
+            assert!(std::sync::Arc::ptr_eq(f, &merged.clusters[id]));
+        }
+        assert!(std::sync::Arc::ptr_eq(
+            &b.clusters[&4],
+            &merged.clusters[&namespaced_id(1, 4)]
+        ));
     }
 
     #[test]

@@ -85,6 +85,11 @@ impl<F: AdditiveFeature> HorizonTracker<F> {
     pub fn clusters_at(&self, t: Timestamp) -> Option<&ClusterSetSnapshot<F>> {
         self.store.find_at_or_before(t).map(|s| &s.data)
     }
+
+    /// The most recently recorded snapshot. Budgets never evict it.
+    pub fn newest(&self) -> Option<&ClusterSetSnapshot<F>> {
+        self.store.newest().map(|s| &s.data)
+    }
 }
 
 #[cfg(test)]

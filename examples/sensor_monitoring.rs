@@ -94,7 +94,7 @@ fn main() {
         };
         let p = reading(&mut rng, centre, spread, grade, t);
         alg.insert(&p);
-        horizons.record(t, &alg);
+        horizons.record(t, &mut alg);
     }
 
     println!("stream finished: {} readings", alg.points_processed());

@@ -149,6 +149,7 @@ fn decayed_engine_forgets_old_regimes_in_horizon_queries() {
     let new_mass: f64 = window
         .clusters
         .values()
+        .map(|c| &**c)
         .filter(|c| ustream_common::AdditiveFeature::centroid(*c)[0] > 32.0)
         .map(ustream_common::AdditiveFeature::count)
         .sum();

@@ -14,10 +14,11 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use umicro::UMicroConfig;
+use ustream_common::codec::Codec;
 use ustream_common::{UStreamError, UncertainPoint};
 use ustream_engine::{
-    failpoints, BackpressurePolicy, EngineBuilder, EngineConfig, HealthStatus, StreamEngine,
-    ValidationPolicy, WatchdogConfig,
+    checkpoint, failpoints, BackpressurePolicy, EngineBuilder, EngineConfig, HealthStatus,
+    StreamEngine, ValidationPolicy, WatchdogConfig,
 };
 
 static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
@@ -55,6 +56,35 @@ fn injected_worker_panic_degrades_without_losing_merged_clusters() {
     // consumed (the documented at-most-one loss).
     assert_eq!(failpoints::arm(failpoints::SHARD_WORKER_PANIC, 1), 0);
     e.push(pt(1.0, 1.0, 65)).unwrap();
+    e.flush();
+
+    // Before the next record: the respawned worker holds exactly its slice
+    // of the store's newest snapshot (the merge at record 64), bit for bit.
+    let path = temp_path("respawn-seed");
+    e.checkpoint(&path).unwrap();
+    let ckpt = checkpoint::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let newest = &ckpt
+        .snapshots
+        .last()
+        .expect("merged before the panic")
+        .clusters;
+    let bits = |ecf: &umicro::Ecf| {
+        let mut out = Vec::new();
+        ecf.encode(&mut out);
+        out
+    };
+    let respawned = e.micro_clusters();
+    assert_eq!(respawned.len(), newest.len());
+    for c in &respawned {
+        assert_eq!(
+            bits(&c.ecf),
+            bits(&newest.clusters[&c.id]),
+            "cluster {}",
+            c.id
+        );
+    }
+
     for t in 66..=128u64 {
         e.push(pt((t % 2) as f64 * 10.0, 0.0, t)).unwrap();
     }

@@ -16,7 +16,7 @@ fn drive(len: u64, switch: u64, pyramid: PyramidConfig) -> (UMicro, HorizonAnaly
         let x = if t <= switch { 0.0 } else { 50.0 };
         let p = UncertainPoint::new(vec![x, -x], vec![0.4, 0.4], t, None);
         alg.insert(&p);
-        hz.record(t, &alg);
+        hz.record(t, &mut alg);
     }
     (alg, hz)
 }
@@ -105,7 +105,7 @@ fn horizon_statistics_match_direct_suffix_summary() {
         if t > total - h {
             suffix_points.push((out.cluster_id, p));
         }
-        hz.record(t, &alg);
+        hz.record(t, &mut alg);
     }
     let window = hz.horizon_clusters(total, h).unwrap();
     // Because 512 and 384 are both stored exactly (powers of 2 times 128),
@@ -137,7 +137,7 @@ fn horizon_analysis_on_noisy_generator_stream() {
     for p in stream {
         t = p.timestamp();
         alg.insert(&p);
-        hz.record(t, &alg);
+        hz.record(t, &mut alg);
     }
     let mac = hz.macro_cluster_horizon(t, 256, 4, 8).unwrap();
     assert_eq!(mac.k(), 4);

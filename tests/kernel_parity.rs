@@ -106,11 +106,14 @@ fn sqrt_min(sq: impl Iterator<Item = f64>) -> Option<f64> {
 
 /// The scalar isolation reference: `√ minᵢ corrected_sq_distance`, `None`
 /// when no cluster is a finite distance away.
-fn reference_isolation(point: &UncertainPoint, clusters: &[(u64, Ecf)]) -> Option<f64> {
+fn reference_isolation<'a>(
+    point: &UncertainPoint,
+    clusters: impl IntoIterator<Item = &'a Ecf>,
+) -> Option<f64> {
     sqrt_min(
         clusters
-            .iter()
-            .map(|(_, ecf)| corrected_sq_distance(point, ecf)),
+            .into_iter()
+            .map(|ecf| corrected_sq_distance(point, ecf)),
     )
 }
 
@@ -182,7 +185,7 @@ fn check_scored_isolation<A: OnlineClusterer<Summary = Ecf>>(
     }
     assert_eq!(got.len(), stream.len());
     for (i, (p, (scored_out, scored_iso))) in stream.iter().zip(&got).enumerate() {
-        let want = reference_isolation(p, &looped.micro_clusters());
+        let want = reference_isolation(p, looped.live_clusters().clusters.values().map(|e| &**e));
         assert_isolation_close(looped.isolation(p), want, &format!("isolation #{i}"));
         assert_isolation_close(*scored_iso, want, &format!("scored isolation #{i}"));
         let out = looped.insert(p);
@@ -529,10 +532,10 @@ proptest! {
         prop_assert_eq!(seeded.kernel().len(), seeded.micro_clusters().len());
         for (i, p) in probes.iter().enumerate() {
             for (what, alg) in [("restore", &restored), ("import_state", &imported)] {
-                let want = reference_isolation(p, &OnlineClusterer::micro_clusters(alg));
+                let want = reference_isolation(p, alg.micro_clusters().iter().map(|c| &c.ecf));
                 assert_isolation_close(alg.isolation(p), want, &format!("{what} #{i}"));
             }
-            let want = reference_isolation(p, &OnlineClusterer::micro_clusters(&decayed));
+            let want = reference_isolation(p, decayed.micro_clusters().iter().map(|c| &c.ecf));
             assert_isolation_close(decayed.isolation(p), want, &format!("synchronize #{i}"));
             let want = sqrt_min(seeded.micro_clusters().iter().map(|c| c.cf.sq_distance_to(p.values())));
             assert_isolation_close(seeded.isolation(p), want, &format!("seed_with_kmeans #{i}"));

@@ -156,8 +156,8 @@ fn sharded_engine_is_exact_on_syndrift() {
     for (i, p) in points.iter().enumerate() {
         let _ = workers[i % config.shards].insert(p);
     }
-    for (s, w) in workers.iter().enumerate() {
-        for (id, ecf) in OnlineClusterer::micro_clusters(w) {
+    for (s, w) in workers.iter_mut().enumerate() {
+        for (id, ecf) in OnlineClusterer::live_clusters(w).clusters {
             expected.insert(namespaced_id(s, id), ecf);
         }
     }

@@ -16,6 +16,7 @@
 //! distance tie differently from the run it restored.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use ustream_common::Timestamp;
 
 /// Complete serialisable state of an online clusterer.
@@ -26,8 +27,9 @@ use ustream_common::Timestamp;
 pub struct ClustererState<S> {
     /// Stable cluster ids, in the owner's internal ranking order.
     pub ids: Vec<u64>,
-    /// One summary per entry of `ids`, same order.
-    pub summaries: Vec<S>,
+    /// One summary per entry of `ids`, same order; shared with the
+    /// snapshots that hold the same value, and serialized as `S`.
+    pub summaries: Vec<Arc<S>>,
     /// Next id the allocator would hand out.
     pub next_id: u64,
     /// Points processed so far.
@@ -77,7 +79,7 @@ mod tests {
     use super::*;
 
     fn state(ids: Vec<u64>, next_id: u64) -> ClustererState<u64> {
-        let summaries = vec![0u64; ids.len()];
+        let summaries = ids.iter().map(|_| Arc::new(0u64)).collect();
         ClustererState {
             ids,
             summaries,

@@ -28,7 +28,7 @@ use std::time::Instant;
 use umicro::UMicroConfig;
 use ustream_bench::Args;
 use ustream_common::UncertainPoint;
-use ustream_engine::{EngineBuilder, EngineConfig, LoadStage, WatchdogConfig};
+use ustream_engine::{EngineBuilder, LoadStage, WatchdogConfig};
 use ustream_synth::{NoisyStream, SynDriftConfig};
 
 const DIMS: usize = 20;
@@ -54,23 +54,21 @@ struct Report {
     overhead_budget_pct: f64,
 }
 
-fn base_config(n_micro: usize, snapshot_every: u64) -> EngineConfig {
-    EngineConfig::new(UMicroConfig::new(n_micro, DIMS).expect("valid UMicro config"))
-        .with_snapshot_every(snapshot_every)
-        .with_novelty_factor(None)
-        .with_validation(None)
+fn base_builder(n_micro: usize, snapshot_every: u64) -> EngineBuilder {
+    EngineBuilder::new(UMicroConfig::new(n_micro, DIMS).expect("valid UMicro config"))
+        .snapshot_every(snapshot_every)
+        .novelty_factor(None)
+        .validation(None)
 }
 
 /// Producer-side throughput of one replay; returns (pts/s, final report).
 fn run_once(
     points: &[UncertainPoint],
-    config: EngineConfig,
+    builder: EngineBuilder,
     stage: Option<LoadStage>,
     batch: usize,
 ) -> (f64, ustream_engine::EngineReport) {
-    let engine = EngineBuilder::from_config(config)
-        .build()
-        .expect("engine starts");
+    let engine = builder.build().expect("engine starts");
     if let Some(stage) = stage {
         engine.force_load_stage(stage);
     }
@@ -119,7 +117,7 @@ fn main() {
         for _ in 0..reps {
             let got = run_once(
                 &points,
-                base_config(n_micro, snapshot_every),
+                base_builder(n_micro, snapshot_every),
                 Some(stage),
                 batch,
             );
@@ -150,11 +148,11 @@ fn main() {
     let mut watchdog = 0.0f64;
     for _ in 0..overhead_reps {
         baseline =
-            baseline.max(run_once(&points, base_config(n_micro, snapshot_every), None, batch).0);
+            baseline.max(run_once(&points, base_builder(n_micro, snapshot_every), None, batch).0);
         watchdog = watchdog.max(
             run_once(
                 &points,
-                base_config(n_micro, snapshot_every).with_watchdog(WatchdogConfig::default()),
+                base_builder(n_micro, snapshot_every).watchdog(WatchdogConfig::default()),
                 None,
                 batch,
             )

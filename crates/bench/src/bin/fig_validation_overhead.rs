@@ -22,7 +22,7 @@ use umicro::UMicroConfig;
 use ustream_bench::csv::{print_table, write_csv};
 use ustream_bench::Args;
 use ustream_common::UncertainPoint;
-use ustream_engine::{EngineBuilder, EngineConfig, ValidationPolicy};
+use ustream_engine::{EngineBuilder, ValidationPolicy};
 use ustream_synth::{NoisyStream, SynDriftConfig};
 
 const DIMS: usize = 20;
@@ -34,11 +34,10 @@ fn run_once(
     snapshot_every: u64,
     validation: Option<ValidationPolicy>,
 ) -> f64 {
-    let config = EngineConfig::new(UMicroConfig::new(n_micro, DIMS).expect("valid UMicro config"))
-        .with_snapshot_every(snapshot_every)
-        .with_novelty_factor(None)
-        .with_validation(validation);
-    let engine = EngineBuilder::from_config(config)
+    let engine = EngineBuilder::new(UMicroConfig::new(n_micro, DIMS).expect("valid UMicro config"))
+        .snapshot_every(snapshot_every)
+        .novelty_factor(None)
+        .validation(validation)
         .build()
         .expect("engine starts");
     let started = Instant::now();

@@ -9,7 +9,7 @@ use std::time::Duration;
 use umicro::UMicroConfig;
 use ustream_common::DataStream;
 use ustream_engine::{
-    ClusterQuery, EngineBuilder, EngineConfig, LoadPolicy, LoadStage, SnapshotBudget, StreamEngine,
+    ClusterQuery, EngineBuilder, LoadPolicy, LoadStage, SnapshotBudget, StreamEngine,
     ValidationPolicy, WatchdogConfig,
 };
 use ustream_snapshot::PyramidConfig;
@@ -56,23 +56,8 @@ pub fn run(flags: &Flags) -> Result<(), CliError> {
     let budget_snapshots: Option<usize> = flags.get_opt("snapshot-budget")?;
     let budget_bytes: Option<u64> = flags.get_opt("snapshot-budget-bytes")?;
     let drain_timeout: Option<u64> = flags.get_opt("drain-timeout")?;
-    if shards == 0 || shards > 1 << 16 {
-        return Err(format!("--shards must be in 1..={} (got {shards})", 1u32 << 16).into());
-    }
-    if snapshot_every == 0 {
-        return Err("--snapshot-every must be positive".into());
-    }
     if checkpoint_every.is_some() && checkpoint.is_none() {
         return Err("--checkpoint-every needs --checkpoint <path>".into());
-    }
-    if !(1..=64).contains(&checkpoint_generations) {
-        return Err(format!(
-            "--checkpoint-generations must be in 1..=64 (got {checkpoint_generations})"
-        )
-        .into());
-    }
-    if keep_per_mille.is_some_and(|k| !(1..=1000).contains(&k)) {
-        return Err("--keep-per-mille must be in 1..=1000".into());
     }
     if keep_per_mille.is_some() && load_policy.is_none() {
         return Err("--keep-per-mille needs --load-policy on".into());
@@ -95,46 +80,35 @@ pub fn run(flags: &Flags) -> Result<(), CliError> {
             engine
         }
         None => {
-            let mut config = EngineConfig::new(UMicroConfig::new(n_micro, dims)?)
-                .with_shards(shards)
-                .with_snapshot_every(snapshot_every)
-                .with_pyramid(PyramidConfig::new(alpha, l)?)
-                .with_validation(validation);
-            config = if novelty > 1.0 {
-                config.with_novelty_factor(Some(novelty))
-            } else {
-                config.with_novelty_factor(None)
-            };
+            let mut builder = EngineBuilder::new(UMicroConfig::new(n_micro, dims)?)
+                .shards(shards)
+                .snapshot_every(snapshot_every)
+                .pyramid(PyramidConfig::new(alpha, l)?)
+                .validation(validation)
+                .novelty_factor((novelty > 1.0).then_some(novelty))
+                .checkpoint_generations(checkpoint_generations);
             if let (Some(every), Some(path)) = (checkpoint_every, checkpoint.as_deref()) {
-                if every == 0 {
-                    return Err("--checkpoint-every must be positive".into());
-                }
-                config = config
-                    .with_auto_checkpoint(every, path)
-                    .with_checkpoint_generations(checkpoint_generations);
+                builder = builder.auto_checkpoint(every, path);
             }
             if let Some(mut policy) = load_policy {
                 if let Some(keep) = keep_per_mille {
                     policy.keep_per_mille = keep;
                 }
-                config = config.with_load_policy(policy);
+                builder = builder.load_policy(policy);
             }
             if let Some(ms) = watchdog_ms {
-                if ms == 0 {
-                    return Err("--watchdog must be a positive stall deadline in ms".into());
-                }
-                config = config.with_watchdog(WatchdogConfig {
+                builder = builder.watchdog(WatchdogConfig {
                     stall_deadline_ms: ms,
                     ..WatchdogConfig::default()
                 });
             }
             if budget_snapshots.is_some() || budget_bytes.is_some() {
-                config = config.with_snapshot_budget(SnapshotBudget {
+                builder = builder.snapshot_budget(SnapshotBudget {
                     max_snapshots: budget_snapshots,
                     max_bytes: budget_bytes,
                 });
             }
-            EngineBuilder::from_config(config)
+            builder
                 .build()
                 .map_err(|e| format!("cannot start engine: {e}"))?
         }

@@ -36,7 +36,7 @@ pub(crate) fn sanitize_sq(d: f64) -> f64 {
 /// Expected squared distance between an uncertain point and the centroid of
 /// an uncertain cluster (Lemma 2.2). Clamped at zero: the exact expression
 /// is non-negative, but floating-point cancellation can leave `−1e-16`.
-/// NaN inputs rank at `+∞` — see [`sanitize_sq`].
+/// NaN inputs rank at `+∞` (see `sanitize_sq`).
 pub fn expected_sq_distance(point: &UncertainPoint, ecf: &Ecf) -> f64 {
     debug_assert_eq!(point.dims(), ecf.dims());
     let w = ecf.weight();

@@ -41,10 +41,11 @@
 //!
 //! # Dispatch
 //!
-//! [`active`] resolves the backend once (env override
-//! [`BACKEND_ENV`], else CPU feature detection) and caches it in an
-//! atomic; [`force`] overrides it process-wide (tests, the engine
-//! builder's forced-scalar knob). The `_with` variants take an explicit
+//! [`active`](crate::kernel::simd::active) resolves the backend once
+//! (env override [`BACKEND_ENV`](crate::kernel::simd::BACKEND_ENV), else
+//! CPU feature detection) and caches it in an atomic;
+//! [`force`](crate::kernel::simd::force) overrides it process-wide (tests
+//! and the kernel speedup bench). The `_with` variants take an explicit
 //! backend and never touch the global — parity tests use those. Calling
 //! a `_with` function with a backend that is not compiled in or whose
 //! CPU features are absent falls back to the scalar path rather than
@@ -287,7 +288,7 @@ pub fn active() -> Backend {
 /// Overrides the cached dispatch decision process-wide and returns what
 /// is now live. `Some(backend)` forces that backend (an unavailable one
 /// degrades to `Scalar`); `None` re-resolves from the environment and
-/// CPU detection. Used by tests and the engine builder's backend knob.
+/// CPU detection. Used by tests and the kernel speedup bench.
 pub fn force(choice: Option<Backend>) -> Backend {
     let b = match choice {
         Some(b) if b.available() => b,

@@ -6,8 +6,8 @@
 //!
 //! Per site the coordinator tracks `last_applied`, the highest contiguous
 //! epoch it has merged. A frame with `seq <= last_applied` is a duplicate
-//! — a retransmit race, a [`reordered`](ustream_engine::failpoints)
-//! delivery, or a replay after a lost ack — and is *dropped, never
+//! — a retransmit race, a reordered delivery (the `failpoints` feature
+//! injects them), or a replay after a lost ack — and is *dropped, never
 //! re-merged*; the coordinator re-acks so the sender unblocks. A frame
 //! with `seq > last_applied + 1` means the coordinator is missing state
 //! (typically its own restart) and is nacked with the expected sequence;

@@ -294,7 +294,7 @@ pub fn read(path: &str) -> Result<EngineCheckpoint> {
 
 // ---- checkpoint generations -------------------------------------------
 //
-// With `EngineConfig::with_checkpoint_generations(n)`, auto-checkpoints
+// With `EngineBuilder::checkpoint_generations(n)`, auto-checkpoints
 // rotate through `n` files `<base>.0 … <base>.{n-1}` plus a manifest
 // `<base>.manifest` listing `slot seq` pairs newest-first. A single corrupt
 // write (or a corrupt byte on disk) then costs one generation, not the
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn shard_count_mismatch_rejected() {
         let mut ckpt = tiny_checkpoint();
-        ckpt.config = ckpt.config.with_shards(2);
+        ckpt.config.shards = 2;
         let bytes = encode(&ckpt).unwrap();
         let err = decode(&bytes).unwrap_err();
         assert!(

@@ -18,7 +18,7 @@
 //!   known cluster exceeds a configurable multiple of the running isolation
 //!   level are surfaced as [`NoveltyAlert`]s.
 //!
-//! Ingestion is **sharded**: `EngineConfig::with_shards(n)` spreads the
+//! Ingestion is **sharded**: [`EngineBuilder::shards`] spreads the
 //! stream round-robin across `n` independent workers, each clustering an
 //! even share of the global micro-cluster budget behind its own lock. The
 //! additive ECF (Property 2.1) makes the periodic fold of shard states into
@@ -75,7 +75,7 @@ pub use builder::EngineBuilder;
 pub use checkpoint::EngineCheckpoint;
 pub use config::{EngineConfig, NoveltyBaseline};
 pub use engine::{DynClusterer, StreamEngine, TryPushError};
-pub use load::{DrainOutcome, LoadPolicy, LoadStage, LoadTransition, WatchdogConfig};
+pub use load::{DrainOutcome, Ladder, LoadPolicy, LoadStage, LoadTransition, WatchdogConfig};
 pub use report::{EngineReport, HealthStatus, NoveltyAlert, ShardStats};
 pub use umicro::{ClusterQuery, QueryStats};
 pub use ustream_snapshot::SnapshotBudget;

@@ -80,7 +80,7 @@ pub enum PointFault {
         dim: usize,
     },
     /// The timestamp runs backwards past the engine clock (only checked
-    /// when [`monotone timestamps`](crate::EngineConfig::with_monotone_timestamps)
+    /// when [`monotone timestamps`](crate::EngineConfig::monotone_timestamps)
     /// are enforced).
     NonMonotoneTimestamp {
         /// The point's timestamp.

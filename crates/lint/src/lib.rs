@@ -68,7 +68,8 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
     rules::run_all(&ctxs)
 }
 
-/// Lints every `.rs` file under `root` except [`EXCLUDED_DIRS`].
+/// Lints every `.rs` file under `root` except the excluded directories
+/// (`target`, `vendor`, `.git`, `fixtures` and hidden ones).
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(lint_workspace_with_stats(root)?.0)
 }

@@ -270,7 +270,7 @@ fn horizon_error(e: UStreamError) -> Response {
 }
 
 /// A running server; dropping the handle leaves the threads serving, so
-/// call [`ServeHandle::shutdown_drain`] for a clean stop.
+/// call [`Server::shutdown_drain`] for a clean stop.
 pub struct Server {
     state: Arc<ServerState>,
     addr: SocketAddr,

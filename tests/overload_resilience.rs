@@ -9,9 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use umicro::UMicroConfig;
 use ustream_common::{UStreamError, UncertainPoint};
-use ustream_engine::{
-    BackpressurePolicy, EngineBuilder, EngineConfig, SnapshotBudget, ValidationPolicy,
-};
+use ustream_engine::{BackpressurePolicy, EngineBuilder, SnapshotBudget, ValidationPolicy};
 
 fn pt(x: f64, y: f64, t: u64) -> UncertainPoint {
     UncertainPoint::new(vec![x, y], vec![0.3, 0.3], t, None)
@@ -38,14 +36,12 @@ impl Rng {
 #[test]
 fn snapshot_budget_holds_through_a_million_records() {
     let budget = SnapshotBudget::by_snapshots(48);
-    let e = EngineBuilder::from_config(
-        EngineConfig::new(UMicroConfig::new(8, 2).unwrap())
-            .with_shards(2)
-            .with_snapshot_every(64)
-            .with_snapshot_budget(budget),
-    )
-    .build()
-    .unwrap();
+    let e = EngineBuilder::new(UMicroConfig::new(8, 2).unwrap())
+        .shards(2)
+        .snapshot_every(64)
+        .snapshot_budget(budget)
+        .build()
+        .unwrap();
 
     let mut rng = Rng(7);
     let batch = 1_000usize;
@@ -97,14 +93,12 @@ fn snapshot_budget_holds_through_a_million_records() {
 #[test]
 fn quarantine_counters_survive_concurrent_drain_under_full_ring() {
     let e = Arc::new(
-        EngineBuilder::from_config(
-            EngineConfig::new(UMicroConfig::new(8, 2).unwrap())
-                .with_shards(2)
-                .with_validation(Some(ValidationPolicy::Quarantine))
-                .with_quarantine_capacity(8), // tiny ring: constantly full
-        )
-        .build()
-        .unwrap(),
+        EngineBuilder::new(UMicroConfig::new(8, 2).unwrap())
+            .shards(2)
+            .validation(Some(ValidationPolicy::Quarantine))
+            .quarantine_capacity(8) // tiny ring: constantly full
+            .build()
+            .unwrap(),
     );
 
     const PRODUCERS: u64 = 4;
@@ -169,11 +163,11 @@ fn quarantine_counters_survive_concurrent_drain_under_full_ring() {
 
 #[test]
 fn drop_newest_conserves_every_push_under_contention() {
-    let mut config = EngineConfig::new(UMicroConfig::new(8, 2).unwrap())
-        .with_backpressure(BackpressurePolicy::DropNewest)
-        .with_snapshot_every(100_000);
-    config.channel_capacity = 2;
-    let e = Arc::new(EngineBuilder::from_config(config).build().unwrap());
+    let e = EngineBuilder::new(UMicroConfig::new(8, 2).unwrap())
+        .backpressure(BackpressurePolicy::DropNewest)
+        .snapshot_every(100_000)
+        .channel_capacity(2);
+    let e = Arc::new(e.build().unwrap());
 
     const PRODUCERS: u64 = 8;
     const PER_PRODUCER: u64 = 2_500;
@@ -205,11 +199,11 @@ fn drop_newest_conserves_every_push_under_contention() {
 
 #[test]
 fn error_policy_conserves_every_push_under_contention() {
-    let mut config = EngineConfig::new(UMicroConfig::new(8, 2).unwrap())
-        .with_backpressure(BackpressurePolicy::Error)
-        .with_snapshot_every(100_000);
-    config.channel_capacity = 2;
-    let e = Arc::new(EngineBuilder::from_config(config).build().unwrap());
+    let e = EngineBuilder::new(UMicroConfig::new(8, 2).unwrap())
+        .backpressure(BackpressurePolicy::Error)
+        .snapshot_every(100_000)
+        .channel_capacity(2);
+    let e = Arc::new(e.build().unwrap());
 
     const PRODUCERS: u64 = 8;
     const PER_PRODUCER: u64 = 2_500;

@@ -91,7 +91,10 @@ proptest! {
 #[test]
 fn sharded_purity_matches_single_worker_on_syndrift() {
     let points: Vec<UncertainPoint> = SynDriftConfig::small_test().build(42).take(6_000).collect();
-    let config = EngineConfig::new(UMicroConfig::new(40, 5).unwrap()).with_shards(4);
+    let config = EngineConfig {
+        shards: 4,
+        ..EngineConfig::new(UMicroConfig::new(40, 5).unwrap())
+    };
 
     // Single worker, full budget.
     let mut single = UMicro::new(config.umicro.clone());
@@ -141,10 +144,12 @@ fn sharded_purity_matches_single_worker_on_syndrift() {
 #[test]
 fn sharded_engine_is_exact_on_syndrift() {
     let points: Vec<UncertainPoint> = SynDriftConfig::small_test().build(7).take(2_000).collect();
-    let config = EngineConfig::new(UMicroConfig::new(48, 5).unwrap())
-        .with_shards(4)
-        .with_snapshot_every(100)
-        .with_novelty_factor(None);
+    let config = EngineConfig {
+        shards: 4,
+        snapshot_every: 100,
+        novelty_factor: None,
+        ..EngineConfig::new(UMicroConfig::new(48, 5).unwrap())
+    };
 
     // Reference: the same routing and budgets, run inline.
     let mut shard_cfg = config.umicro.clone();

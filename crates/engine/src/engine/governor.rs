@@ -2,7 +2,7 @@
 //! channel pressure, and the degradation-ladder walk (see "Overload
 //! resilience" in the parent module).
 
-use super::{drain_commands, Command, Global, ShardHandle, StreamEngine};
+use super::{drain_commands, settle_owed, Command, Global, Scratch, ShardHandle, StreamEngine};
 use crate::load::{Ladder, LoadStage};
 use crossbeam::channel::Receiver;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 /// Attaches a rescue consumer to shard `idx`'s channel: a fresh thread
 /// draining the same MPMC receiver the wedged worker holds. It takes no
 /// shard state lock the governor could be blocked on, and it does not
-/// respawn itself — the original supervisor still owns panic recovery.
+/// respawn itself — the original supervisor still owns panic recovery. A
+/// rescue that panics still deposits the cuts its command owed.
 fn spawn_rescue(
     global: &Arc<Global>,
     shards: &[Arc<ShardHandle>],
@@ -26,9 +27,13 @@ fn spawn_rescue(
     let spawned = std::thread::Builder::new()
         .name(format!("ustream-rescue-{idx}"))
         .spawn(move || {
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                drain_commands(&rx, &global_for_rescue, &all_shards, idx);
+            let mut scratch = Scratch::default();
+            let drained = catch_unwind(AssertUnwindSafe(|| {
+                drain_commands(&rx, &global_for_rescue, &all_shards, idx, &mut scratch);
             }));
+            if drained.is_err() {
+                settle_owed(&global_for_rescue, &all_shards[idx], idx, &mut scratch);
+            }
         });
     if let Ok(handle) = spawned {
         shards[idx].spawned.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotone counter; report readers tolerate lag, no acquire pairing

@@ -93,10 +93,12 @@ pub struct EngineReport {
     pub alerts_raised: u64,
     /// Last stream tick observed.
     pub last_tick: Timestamp,
-    /// Exact ECF merges folding shard states into the global view.
+    /// Exact ECF merges folding shard states into the global view: cuts
+    /// filed in the pyramid.
     pub merges: u64,
-    /// Mean wall-clock cost of one merge, in microseconds (0 when no merge
-    /// has run).
+    /// Mean wall-clock time from a cut's completion (its last shard part
+    /// deposited) to its filing, in microseconds (0 when no merge has
+    /// run). Time a cut waits for a shard that is behind is not in it.
     pub mean_merge_micros: f64,
     /// Aggregate worker health (see [`HealthStatus`]).
     pub health: HealthStatus,

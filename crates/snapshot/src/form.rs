@@ -2,13 +2,16 @@
 //!
 //! Every query is answered from [`ClusterSetSnapshot`]s; a
 //! [`SnapshotForm`] only decides what sits in the pyramid between a record
-//! and a query. The snapshot itself is the default form. [`PackedSnapshot`]
-//! keeps the cluster map in its binary [`Codec`] layout instead, for
-//! callers that hold many pyramids at once.
+//! and a query. The snapshot itself is the default form. An
+//! `Arc<ClusterSetSnapshot>` lets a reader copy a snapshot's pointer out
+//! of a pyramid behind a lock and read it after releasing the lock.
+//! [`PackedSnapshot`] keeps the cluster map in its binary [`Codec`] layout
+//! instead, for callers that hold many pyramids at once.
 
 use crate::store::ClusterSetSnapshot;
 use std::borrow::Cow;
 use std::marker::PhantomData;
+use std::sync::Arc;
 use ustream_common::codec::{decode_exact, Codec};
 use ustream_common::{AdditiveFeature, Result, UStreamError};
 
@@ -29,6 +32,20 @@ pub trait SnapshotForm<F: AdditiveFeature>: Clone {
 impl<F: AdditiveFeature> SnapshotForm<F> for ClusterSetSnapshot<F> {
     fn pack(snap: ClusterSetSnapshot<F>) -> Self {
         snap
+    }
+
+    fn unpack(&self) -> Result<Cow<'_, ClusterSetSnapshot<F>>> {
+        Ok(Cow::Borrowed(self))
+    }
+
+    fn approx_bytes(&self) -> usize {
+        ClusterSetSnapshot::approx_bytes(self)
+    }
+}
+
+impl<F: AdditiveFeature> SnapshotForm<F> for Arc<ClusterSetSnapshot<F>> {
+    fn pack(snap: ClusterSetSnapshot<F>) -> Self {
+        Arc::new(snap)
     }
 
     fn unpack(&self) -> Result<Cow<'_, ClusterSetSnapshot<F>>> {

@@ -80,7 +80,7 @@ impl<S: Clone> SnapshotStore<S> {
             .map(|s| measure(&s.data) as u64)
             .sum();
         self.budget = Some(budget);
-        self.enforce_budget();
+        self.enforce_budget(&mut drop);
     }
 
     /// The installed budget, if any.
@@ -140,7 +140,8 @@ impl<S: Clone> SnapshotStore<S> {
     /// snapshot always stays, because it is the current cluster set that
     /// every query starts from and a respawned engine shard is seeded with.
     /// Every victim below is older than it while two or more remain.
-    fn enforce_budget(&mut self) {
+    /// Victims go to `evicted`.
+    fn enforce_budget(&mut self, evicted: &mut impl FnMut(S)) {
         while self.over_budget() && self.len() > 1 {
             let mut victim: Option<usize> = None;
             for (i, ring) in self.orders.iter().enumerate() {
@@ -163,6 +164,7 @@ impl<S: Clone> SnapshotStore<S> {
                 self.total_bytes = self
                     .total_bytes
                     .saturating_sub((self.measure)(&old.data) as u64);
+                evicted(old.data);
                 self.budget_evictions += 1;
                 let left = self.orders[idx].len();
                 if self.worst_trimmed_len.is_none_or(|w| left < w) {
@@ -198,6 +200,13 @@ impl<S: Clone> SnapshotStore<S> {
     /// ticks); the store files the snapshot at order `max{i : α^i | t}` and
     /// enforces per-order retention.
     pub fn record(&mut self, t: Timestamp, data: S) {
+        self.record_with(t, data, drop);
+    }
+
+    /// [`Self::record`], handing every snapshot it evicts (retention or
+    /// budget) to `evicted` instead of dropping it, so a caller that
+    /// records under a lock can free them after releasing it.
+    pub fn record_with(&mut self, t: Timestamp, data: S, mut evicted: impl FnMut(S)) {
         let bytes = (self.measure)(&data) as u64;
         let order = snapshot_order(t, self.config.alpha);
         let order_idx = order as usize;
@@ -213,6 +222,7 @@ impl<S: Clone> SnapshotStore<S> {
             if last.time == t {
                 if let Some(old) = ring.pop_back() {
                     freed += measure(&old.data) as u64;
+                    evicted(old.data);
                 }
             }
         }
@@ -225,11 +235,12 @@ impl<S: Clone> SnapshotStore<S> {
         while ring.len() > cap {
             if let Some(old) = ring.pop_front() {
                 freed += measure(&old.data) as u64;
+                evicted(old.data);
             }
         }
         self.total_bytes = (self.total_bytes + bytes).saturating_sub(freed);
         self.taken += 1;
-        self.enforce_budget();
+        self.enforce_budget(&mut evicted);
     }
 
     /// The most recent stored snapshot with `time ≤ t`, across all orders.
@@ -508,6 +519,22 @@ mod tests {
             s.orders[0].iter().map(|x| x.time).collect::<Vec<_>>(),
             vec![91, 93, 95, 97, 99]
         );
+    }
+
+    /// Every snapshot that leaves the store — retention, a duplicate tick
+    /// or the budget — goes to the `record_with` sink, once.
+    #[test]
+    fn record_with_hands_back_every_evicted_snapshot() {
+        let mut s = SnapshotStore::new(PyramidConfig::new(2, 2).unwrap());
+        s.set_budget(SnapshotBudget::by_snapshots(9), |_| 1);
+        let mut evicted = Vec::new();
+        for t in (1..=120).chain([120]) {
+            s.record_with(t, t, |old| evicted.push(old));
+        }
+        assert!(s.budget_evictions() > 0);
+        assert_eq!(evicted.len() + s.len(), 121);
+        let kept: Vec<Ts> = s.iter_chronological().map(|x| x.data).collect();
+        assert!(evicted.iter().all(|t| *t == 120 || !kept.contains(t)));
     }
 
     #[test]

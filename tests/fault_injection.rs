@@ -540,3 +540,248 @@ fn soak_repeated_stalls_recover_without_losing_records() {
     assert!(report.last_checkpoint_error.is_none());
     failpoints::reset_all();
 }
+
+/// Record `t` of the cut-accounting streams: three centres, and ψ² of the
+/// second dimension equal to `t · 1e-8`, so a window's EF2 sum names the
+/// ticks it holds without moving any record's cluster.
+fn ticked(t: u64) -> UncertainPoint {
+    let x = ((t / 2) % 3) as f64 * 10.0;
+    UncertainPoint::new(vec![x, 0.0], vec![0.3, (t as f64 * 1e-8).sqrt()], t, None)
+}
+
+/// The window `(b, c]` of ticks a horizon answer over a [`ticked`] stream
+/// holds: `n` records whose ticks sum to `n·b + n(n+1)/2`.
+fn window_of(answer: &ustream_snapshot::ClusterSetSnapshot<umicro::Ecf>) -> (u64, u64) {
+    let n = answer.total_count();
+    let sum: f64 = answer.clusters.values().map(|e| e.ef2()[1]).sum::<f64>() / 1e-8;
+    let b = (sum - n * (n + 1.0) / 2.0) / n;
+    assert!(
+        (b - b.round()).abs() < 1e-3,
+        "no tick window: n {n}, sum {sum}"
+    );
+    (b.round() as u64, b.round() as u64 + n as u64)
+}
+
+/// One shard wedged for 500 ms stalls neither horizon readers nor the
+/// other shard: answers keep coming within 50 ms, and each holds exactly
+/// the records routed between two cuts. Once the shard wakes, every cut
+/// it held up is filed.
+#[test]
+fn a_wedged_shard_stalls_no_reader_and_every_cut_files() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap();
+    failpoints::reset_all();
+    const EVERY: u64 = 16;
+    const N: u64 = 1_600;
+    let e = std::sync::Arc::new(
+        EngineBuilder::new(UMicroConfig::new(64, 2).unwrap())
+            .shards(2)
+            .snapshot_every(EVERY)
+            .novelty_factor(None)
+            .build()
+            .unwrap(),
+    );
+    for t in 1..=320 {
+        e.push(ticked(t)).unwrap();
+    }
+    e.flush();
+
+    // Record 321 goes to shard 0, the only shard with work: it takes the
+    // hang before clustering it.
+    assert_eq!(failpoints::arm(failpoints::WORKER_HANG, 500), 0);
+    e.push(ticked(321)).unwrap();
+    assert!(wait_until(Duration::from_secs(1), || {
+        failpoints::remaining(failpoints::WORKER_HANG) == 0
+    }));
+    let reader = {
+        let e = std::sync::Arc::clone(&e);
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            let mut answers = Vec::new();
+            while started.elapsed() < Duration::from_millis(700) {
+                for h in [16, 64, 200] {
+                    let asked = Instant::now();
+                    let answer = e.horizon_clusters(h);
+                    answers.push((asked.elapsed(), answer));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            answers
+        })
+    };
+    for t in 322..=N {
+        e.push(ticked(t)).unwrap();
+    }
+    let answers = reader.join().unwrap();
+    e.flush();
+
+    assert!(answers.len() > 30, "{} answers", answers.len());
+    for (took, answer) in &answers {
+        assert!(
+            *took < Duration::from_millis(50),
+            "a reader waited {took:?}"
+        );
+        let (b, c) = window_of(answer.as_ref().expect("history to answer from"));
+        assert!(
+            b.is_multiple_of(EVERY) && c.is_multiple_of(EVERY),
+            "window ({b}, {c}]"
+        );
+        assert!(c <= N);
+    }
+    let report = e.stats();
+    assert_eq!(report.clusters_evicted, 0);
+    assert_eq!(
+        report.merges,
+        N / EVERY,
+        "every cut files once the shard wakes"
+    );
+    let (_, newest) = window_of(&e.horizon_clusters(64).unwrap());
+    assert_eq!(newest, N);
+    failpoints::reset_all();
+}
+
+/// A panic that consumes a command carrying cuts leaves none of them
+/// owed: the respawned shard deposits each from its rebuilt clusterer, and
+/// every later cut still files.
+#[test]
+fn a_panic_on_a_command_with_cuts_still_lets_every_cut_file() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap();
+    failpoints::reset_all();
+    const EVERY: u64 = 4;
+    let e = EngineBuilder::new(UMicroConfig::new(64, 2).unwrap())
+        .shards(2)
+        .snapshot_every(EVERY)
+        .novelty_factor(None)
+        .build()
+        .unwrap();
+    for t in 1..=64 {
+        e.push(ticked(t)).unwrap();
+    }
+    e.flush();
+
+    // One slice of 16: each shard's chunk of 8 carries the four cuts at
+    // 68, 72, 76 and 80, and the first chunk a worker takes panics.
+    assert_eq!(failpoints::arm(failpoints::SHARD_WORKER_PANIC, 1), 0);
+    let slice: Vec<UncertainPoint> = (65..=80).map(ticked).collect();
+    e.push_slice(&slice).unwrap();
+    e.flush();
+    assert_eq!(failpoints::remaining(failpoints::SHARD_WORKER_PANIC), 0);
+    for t in 81..=128 {
+        e.push(ticked(t)).unwrap();
+    }
+    e.flush();
+
+    let report = e.stats();
+    assert_eq!(report.per_shard.iter().map(|s| s.restarts).sum::<u64>(), 1);
+    assert!(report.per_shard.iter().all(|s| s.alive));
+    assert_eq!(
+        report.points_processed,
+        128 - 8,
+        "the panicked chunk is lost"
+    );
+    assert_eq!(report.merges, 128 / EVERY, "no cut is left owed");
+
+    let path = temp_path("panic-cuts");
+    e.checkpoint(&path).unwrap();
+    let ckpt = checkpoint::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let mut last = 0.0;
+    for entry in &ckpt.snapshots {
+        let weight = entry.clusters.total_count();
+        let lost = if entry.time > 64 { 8.0 } else { 0.0 };
+        assert!(weight <= entry.time as f64 && weight >= entry.time as f64 - lost);
+        assert!(weight >= last, "weights fall at {}", entry.time);
+        last = weight;
+    }
+    e.shutdown();
+    failpoints::reset_all();
+}
+
+/// An auto-checkpoint a worker writes while a cut is still pending (the
+/// other shard is wedged) holds only the cuts filed before it: the
+/// restored engine drops the pending cut, as documented, and files its own
+/// cuts from there. The wedged engine files every cut once it wakes, and
+/// the committed checkpoint fixture restores into a working engine.
+#[test]
+fn a_checkpoint_taken_while_a_cut_is_pending_drops_it() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap();
+    failpoints::reset_all();
+    const EVERY: u64 = 8;
+    let base = temp_path("pending-cut");
+    let e = EngineBuilder::new(UMicroConfig::new(64, 2).unwrap())
+        .shards(2)
+        .snapshot_every(EVERY)
+        .novelty_factor(None)
+        .auto_checkpoint(24, &base)
+        .checkpoint_generations(2)
+        .build()
+        .unwrap();
+    for t in 1..=16 {
+        e.push(ticked(t)).unwrap();
+    }
+    e.flush();
+    assert_eq!(e.stats().checkpoints_written, 0);
+
+    // Shard 0 wedges on record 17; shard 1 clusters 18, 20, …, 40 and
+    // writes the checkpoint at its 8th record, after depositing cuts 24
+    // and 32 that shard 0 has not reached.
+    assert_eq!(failpoints::arm(failpoints::WORKER_HANG, 400), 0);
+    e.push(ticked(17)).unwrap();
+    assert!(wait_until(Duration::from_secs(1), || {
+        failpoints::remaining(failpoints::WORKER_HANG) == 0
+    }));
+    for t in 18..=40 {
+        e.push(ticked(t)).unwrap();
+    }
+    assert!(
+        wait_until(Duration::from_secs(1), || e.stats().checkpoints_written
+            == 1),
+        "no checkpoint during the wedge"
+    );
+    e.flush();
+    let report = e.stats();
+    assert_eq!(
+        report.merges,
+        40 / EVERY,
+        "the wedged engine files every cut"
+    );
+    assert_eq!(report.checkpoints_written, 1);
+
+    let ckpt = checkpoint::read_latest(&base).unwrap();
+    assert_eq!(ckpt.points_processed, 24);
+    let times: Vec<u64> = ckpt.snapshots.iter().map(|s| s.time).collect();
+    assert_eq!(times, vec![8, 16], "only the cuts filed before the capture");
+
+    let restored = StreamEngine::restore_latest(&base).unwrap();
+    assert_eq!(restored.points_processed(), 24);
+    for t in 41..=96 {
+        restored.push(ticked(t)).unwrap();
+    }
+    restored.flush();
+    // Routing resumes at record 24: cuts at 32, 40, …, 80.
+    assert_eq!(restored.stats().merges, ckpt.merges + 7);
+    assert!(restored.horizon_clusters(16).is_ok());
+    restored.shutdown();
+    e.shutdown();
+    for slot in 0..2 {
+        let _ = std::fs::remove_file(checkpoint::generation_path(&base, slot));
+    }
+    let _ = std::fs::remove_file(checkpoint::manifest_path(&base));
+
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/engine/tests/fixtures/engine_checkpoint_v1.ckpt"
+    );
+    let old = StreamEngine::restore(fixture).unwrap();
+    let merges = old.stats().merges;
+    let processed = old.points_processed();
+    let last_tick = old.stats().last_tick;
+    let every = checkpoint::read(fixture).unwrap().config.snapshot_every;
+    for t in 1..=2 * every {
+        old.push(pt((t % 2) as f64, 0.0, last_tick + t)).unwrap();
+    }
+    old.flush();
+    assert_eq!(old.points_processed(), processed + 2 * every);
+    assert!(old.stats().merges >= merges + 2);
+    old.shutdown();
+    failpoints::reset_all();
+}
